@@ -20,7 +20,7 @@ print("transmit slots          :", metrics.n_transmit_slots)
 print("secrecy outages         :", metrics.empirical_outage, "(instantaneous CSI)")
 print()
 print("hard backlog cap        :", bounds.queue_caps, "observed max", metrics.max_queue)
-print("violations              :", metrics.queue_bound_violations)
+print("cap margin              :", bounds.queue_caps.max() - metrics.max_queue)
 print("power queue cap (diag.) :", round(bounds.power_cap, 1),
       "observed max", round(metrics.max_power_queue, 1))
 print("optimality gap bound    : (B + C)/V =", bounds.optimality_gap)

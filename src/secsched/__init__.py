@@ -8,33 +8,16 @@ every transmitted message respects a secrecy constraint.
 """
 
 from .channel import (
-    BeamformingBasis,
     ChannelRealization,
     RngStreams,
     beamforming_basis,
     sample_complex_gaussian,
-    sample_complex_gaussian_vector,
     sample_realization,
     sample_realization_batch,
 )
-from .control import (
-    ControlWeights,
-    PerformanceBounds,
-    QueueState,
-    SlotDecision,
-    admit,
-    allocate,
-    choose_v,
-    compute_bounds,
-    update_data_queue,
-    update_power_queue,
-)
-from .errors import ConfigError, DegenerateChannelError, InvariantViolation
+from .control import choose_v, compute_bounds
+from .errors import ConfigError, DegenerateChannelError
 from .secrecy import (
-    INSTANTANEOUS,
-    PARTIAL,
-    OutageCalibrationRow,
-    SecrecyRateResult,
     SecrecyRegime,
     TransmitParams,
     calibrate_outage,
@@ -52,32 +35,20 @@ from .secrecy import (
     rate_cost_table,
     secrecy_rate,
 )
-from .simulator import (
-    RunMetrics,
-    ScenarioConfig,
-    SlotTraceRecord,
-    audit_outage,
-    run,
-    sample_arrivals,
-)
+from .simulator import RunMetrics, ScenarioConfig, SlotTraceRecord, run, sample_arrivals
 
 __all__ = [
-    "BeamformingBasis", "ChannelRealization", "RngStreams",
-    "beamforming_basis", "sample_complex_gaussian", "sample_complex_gaussian_vector",
+    "ChannelRealization", "RngStreams", "beamforming_basis", "sample_complex_gaussian",
     "sample_realization", "sample_realization_batch",
-    "ControlWeights", "PerformanceBounds", "QueueState", "SlotDecision",
-    "admit", "allocate", "choose_v", "compute_bounds",
-    "update_data_queue", "update_power_queue",
-    "ConfigError", "DegenerateChannelError", "InvariantViolation",
-    "INSTANTANEOUS", "PARTIAL", "OutageCalibrationRow",
-    "SecrecyRateResult", "SecrecyRegime", "TransmitParams",
+    "choose_v", "compute_bounds",
+    "ConfigError", "DegenerateChannelError",
+    "SecrecyRegime", "TransmitParams",
     "calibrate_outage", "cap_eve_noncolluding", "cap_eve_upper_noncolluding",
     "cap_eves_colluding", "cap_eves_colluding_logdet", "cap_eves_upper_colluding",
     "cap_legit", "colluding_outage_ccdf", "noncolluding_outage_cdf",
     "rate_cost_colluding", "rate_cost_noncolluding", "rate_cost_noncolluding_bisect",
     "rate_cost_table", "secrecy_rate",
-    "RunMetrics", "ScenarioConfig", "SlotTraceRecord",
-    "audit_outage", "run", "sample_arrivals",
+    "RunMetrics", "ScenarioConfig", "SlotTraceRecord", "run", "sample_arrivals",
 ]
 
 __version__ = "0.1.0"

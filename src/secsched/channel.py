@@ -56,12 +56,6 @@ def sample_complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
     return radius * (np.cos(angle) + 1j * np.sin(angle))
 
 
-def sample_complex_gaussian_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"vector length must be positive, got {n}")
-    return sample_complex_gaussian((n,), rng)
-
-
 @dataclass
 class ChannelRealization:
     """One slot's channel state: per-user rows and per-eavesdropper rows."""

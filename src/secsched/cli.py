@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,12 +25,11 @@ from .errors import ConfigError, InvariantViolation
 from .secrecy import PARTIAL, calibrate_outage
 from .simulator import _DEFAULT_RATIO_GRID, RunMetrics, ScenarioConfig, run
 
-_INT_KEYS = ("n_antennas", "n_eves", "n_users", "a_max", "n_slots", "seed")
-_FLOAT_KEYS = ("eta", "v", "p_av", "arrival_mean")
-_BOOL_KEYS = ("colluding",)
-_STR_KEYS = ("csi",)
-_LIST_KEYS = ("theta", "power_grid", "ratio_grid")
-_ALL_KEYS = frozenset(_INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS + _LIST_KEYS)
+# Config keys and their JSON types come from ScenarioConfig's annotations,
+# which are the strings "int", "float", "bool", "str" and "tuple".
+_KEY_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+# The summary CSV echoes every scalar field, in declaration order.
+_CONFIG_ECHO = tuple(key for key, kind in _KEY_TYPES.items() if kind != "tuple")
 
 _AXIS_TO_KEY = {
     "lambda": "arrival_mean",
@@ -47,10 +47,10 @@ def scenario_from_doc(doc: dict, source: str = "config") -> ScenarioConfig:
     """Build a ScenarioConfig from a flat key-value document, fail-closed."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{source} must be a flat JSON object")
-    unknown = sorted(set(doc) - _ALL_KEYS)
+    unknown = sorted(set(doc) - set(_KEY_TYPES))
     if unknown:
         raise ConfigError(f"unknown {source} keys: {', '.join(unknown)}")
-    required = set(_ALL_KEYS) - {"eta"}
+    required = set(_KEY_TYPES) - {"eta"}
     missing = sorted(required - set(doc))
     if missing:
         raise ConfigError(f"missing {source} keys: {', '.join(missing)}")
@@ -61,19 +61,20 @@ def scenario_from_doc(doc: dict, source: str = "config") -> ScenarioConfig:
 
     fields = {}
     for key, value in doc.items():
-        if key in _INT_KEYS:
+        kind = _KEY_TYPES[key]
+        if kind == "int":
             if not (isinstance(value, int) and not isinstance(value, bool)):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
             fields[key] = value
-        elif key in _FLOAT_KEYS:
+        elif kind == "float":
             if not _is_number(value):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
             fields[key] = float(value)
-        elif key in _BOOL_KEYS:
+        elif kind == "bool":
             if not isinstance(value, bool):
                 raise ConfigError(f"{key} must be a boolean, got {value!r}")
             fields[key] = value
-        elif key in _STR_KEYS:
+        elif kind == "str":
             if not isinstance(value, str):
                 raise ConfigError(f"{key} must be a string, got {value!r}")
             fields[key] = value
@@ -115,34 +116,26 @@ def _open_out(path: str | None):
             yield fh
 
 
+# RunMetrics fields in summary-column order: scalars, then one column per user.
+_SCALAR_METRICS = (
+    "weighted_admission_rate", "avg_power", "empirical_outage",
+    "n_transmit_slots", "max_queue", "max_power_queue",
+    "power_queue_final", "max_served_rate", "empirical_gamma",
+)
+_PER_USER_METRICS = ("admission_rate", "avg_queue", "slots_served")
+
+
 def _metric_columns(k: int) -> list[str]:
-    cols = [
-        "weighted_admission_rate", "avg_power", "empirical_outage",
-        "n_transmit_slots", "max_queue", "max_power_queue",
-        "power_queue_final", "max_served_rate", "empirical_gamma",
-        "queue_bound_violations",
+    return list(_SCALAR_METRICS) + [
+        f"{name}_{i}" for name in _PER_USER_METRICS for i in range(k)
     ]
-    cols += [f"admission_rate_{i}" for i in range(k)]
-    cols += [f"avg_queue_{i}" for i in range(k)]
-    cols += [f"slots_served_{i}" for i in range(k)]
-    return cols
 
 
 def _metric_values(metrics: RunMetrics) -> list:
-    values = [
-        metrics.weighted_admission_rate, metrics.avg_power, metrics.empirical_outage,
-        metrics.n_transmit_slots, metrics.max_queue, metrics.max_power_queue,
-        metrics.power_queue_final, metrics.max_served_rate, metrics.empirical_gamma,
-        metrics.queue_bound_violations,
-    ]
-    values += list(metrics.admission_rate)
-    values += list(metrics.avg_queue)
-    values += [int(s) for s in metrics.slots_served]
+    values = [getattr(metrics, name) for name in _SCALAR_METRICS]
+    for name in _PER_USER_METRICS:
+        values += list(getattr(metrics, name))
     return values
-
-
-_CONFIG_ECHO = ("n_antennas", "n_eves", "n_users", "colluding", "csi", "eta",
-                "v", "p_av", "arrival_mean", "a_max", "n_slots", "seed")
 
 
 def _write_summary(fh, config: ScenarioConfig, metrics: RunMetrics):

@@ -1,11 +1,10 @@
-"""Admission control and power/split allocation by drift-plus-penalty.
+"""Grid validation and the guarantee constants of the drift-plus-penalty controller.
 
-Each user keeps a data backlog; a single virtual queue tracks average power
-spent above its budget.  Per slot the controller first thresholds admissions
-against the backlogs, then picks one (user, power, data fraction) action
-maximizing backlog-weighted secrecy rate minus the power price, from finite
-grids.  Both steps are the exact per-slot minimizers of the drift-plus-penalty
-upper bound, which is what yields the queue and power guarantees.
+The controller itself is the slot loop in `simulator.run`: it thresholds
+admissions against the backlogs, then picks one (user, power, data fraction)
+action maximizing backlog-weighted secrecy rate minus the power price.  Both
+steps are the exact per-slot minimizers of the drift-plus-penalty upper
+bound, which is what yields the queue and power guarantees evaluated here.
 """
 from __future__ import annotations
 
@@ -13,84 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .errors import ConfigError
-from .secrecy import (
-    INSTANTANEOUS,
-    PARTIAL,
-    SecrecyRegime,
-    capacity_grids,
-    channel_stats,
-    rate_cost_table,
-    secrecy_rate_grid,
-)
-
-
-@dataclass
-class QueueState:
-    """Per-user data backlogs plus the virtual average-power queue."""
-
-    data: np.ndarray
-    power_virtual: float = 0.0
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 1:
-            raise ValueError("data backlog must be a flat per-user vector")
-        if np.any(self.data < 0) or self.power_virtual < 0:
-            raise ValueError("queue lengths are nonnegative")
-
-
-@dataclass
-class ControlWeights:
-    """Tradeoff weight V and per-user admission priorities."""
-
-    v: float
-    theta: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.v <= 0:
-            raise ValueError(f"V must be positive, got {self.v}")
-        if self.theta.ndim != 1 or np.any(self.theta <= 0):
-            raise ValueError("priorities must be positive, one per user")
-
-
-@dataclass
-class SlotDecision:
-    """One slot's allocation; `user` is the argmax even when idling at zero power."""
-
-    user: int
-    power: float
-    data_fraction: float
-    codeword_rate: float
-    rate_cost: float
-    secrecy_rate: float
-    objective: float
-    admissions: np.ndarray | None = None
-
-    @property
-    def transmitting(self) -> bool:
-        return self.secrecy_rate > 0.0
-
-    @property
-    def served_user(self) -> int | None:
-        return self.user if self.transmitting else None
-
-
-def admit(arrivals: np.ndarray, queues: QueueState, weights: ControlWeights) -> np.ndarray:
-    """Admit all of a user's arrivals iff its backlog is at or below V*theta.
-
-    This is the minimizer of sum (U_i - V theta_i) R_i over 0 <= R_i <= A_i;
-    the boundary goes to full admission.  Together with the allocation step it
-    caps every backlog at V theta_i + A_max deterministically.
-    """
-    arrivals = np.asarray(arrivals, dtype=float)
-    if arrivals.shape != queues.data.shape or arrivals.shape != weights.theta.shape:
-        raise ValueError("arrivals, queues and priorities must agree on the user count")
-    if np.any(arrivals < 0):
-        raise ValueError("arrivals are nonnegative")
-    return np.where(queues.data <= weights.v * weights.theta, arrivals, 0.0)
 
 
 def ascending_grid(values, name: str, unit_interval: bool = False,
@@ -109,60 +31,6 @@ def ascending_grid(values, name: str, unit_interval: bool = False,
     if require_zero and arr[0] != 0.0:
         raise ConfigError(f"{name} must contain 0 so idling is always available")
     return arr
-
-
-def allocate(realization: ChannelRealization, queues: QueueState,
-             power_grid, ratio_grid, regime: SecrecyRegime,
-             cost_table: np.ndarray | None = None) -> SlotDecision:
-    """Exhaustive maximization of U_i * r_s(i, P, eps) - X * P over the grids.
-
-    Ties break toward the lowest user index, then the lowest power, then the
-    lowest data fraction, so an all-zero score reports (user 0, P=0, eps=0).
-    The zero-power action always scores 0, hence the objective is never
-    negative.  With `cost_table` supplied (partial CSI), the per-fraction
-    inversions are reused instead of recomputed.
-    """
-    power = ascending_grid(power_grid, "power grid", require_zero=True)
-    fraction = ascending_grid(ratio_grid, "ratio grid", unit_interval=True)
-    if queues.data.shape[0] != realization.n_users:
-        raise ValueError("queue vector does not match the realization's user count")
-    if regime.csi == PARTIAL and cost_table is None:
-        cost_table = rate_cost_table(fraction, regime, realization.n_antennas, realization.n_eves)
-    if cost_table is not None and len(cost_table) != fraction.size:
-        raise ValueError("rate-cost table does not match the ratio grid")
-
-    stats = channel_stats(realization.legit, realization.eves, regime.colluding)
-    cap_users, cap_eves = capacity_grids(stats, power, fraction)
-    rates = secrecy_rate_grid(cap_users, cap_eves, regime, cost_table)
-    score = queues.data[:, None, None] * rates - queues.power_virtual * power[:, None]
-    user, p_idx, f_idx = np.unravel_index(int(np.argmax(score)), score.shape)
-    if regime.csi == INSTANTANEOUS:
-        cost = float(cap_eves[user, p_idx, f_idx])
-    else:
-        cost = float(cost_table[f_idx])
-    return SlotDecision(
-        user=int(user),
-        power=float(power[p_idx]),
-        data_fraction=float(fraction[f_idx]),
-        codeword_rate=float(cap_users[user, p_idx, f_idx]),
-        rate_cost=cost,
-        secrecy_rate=float(rates[user, p_idx, f_idx]),
-        objective=float(score[user, p_idx, f_idx]),
-    )
-
-
-def update_data_queue(queue: float, served_rate: float, served: bool, admitted: float) -> float:
-    """Backlog recursion: serve first (never below zero), then add admissions."""
-    if queue < 0 or served_rate < 0 or admitted < 0:
-        raise ValueError("queue, rate and admissions are nonnegative")
-    return max(queue - (served_rate if served else 0.0), 0.0) + admitted
-
-
-def update_power_queue(queue: float, power: float, p_av: float) -> float:
-    """Virtual power queue: drain the budget, add what was actually spent."""
-    if queue < 0 or power < 0 or p_av < 0:
-        raise ValueError("queue, power and budget are nonnegative")
-    return max(queue - p_av, 0.0) + power
 
 
 @dataclass(frozen=True)

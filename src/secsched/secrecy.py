@@ -49,9 +49,9 @@ class SecrecyRegime:
         if self.csi not in (INSTANTANEOUS, PARTIAL):
             raise ConfigError(f"csi must be '{INSTANTANEOUS}' or '{PARTIAL}', got {self.csi!r}")
         if self.csi == INSTANTANEOUS and self.eta != 0.0:
-            raise ConfigError("an outage level only applies under partial CSI")
+            raise ConfigError("eta must be 0 under instantaneous csi")
         if self.csi == PARTIAL and not 0.0 < self.eta < 1.0:
-            raise ConfigError(f"partial CSI needs an outage level in (0, 1), got {self.eta}")
+            raise ConfigError(f"eta must lie in (0, 1) under partial csi, got {self.eta!r}")
 
 
 @dataclass(frozen=True)
@@ -262,6 +262,11 @@ def rate_cost_noncolluding(data_fraction: float, outage_level: float,
         return math.inf
     m = n_antennas - 1
     per_eve_tail = 1.0 - (1.0 - outage_level) ** (1.0 / n_eves)
+    if per_eve_tail == 0.0:
+        raise ConfigError(
+            f"outage level {outage_level!r} is too small to invert in double precision: "
+            f"(1 - eta)^(1/{n_eves}) rounds to 1"
+        )
     threshold = m * (per_eve_tail ** (-1.0 / m) - 1.0)
     return math.log2(1.0 + threshold * data_fraction / (1.0 - data_fraction))
 

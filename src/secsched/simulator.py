@@ -3,7 +3,8 @@
 Per slot: draw block fading for everyone, draw packet arrivals, threshold
 admissions, pick one (user, power, data-fraction) action by exhaustive grid
 search, audit whether an eavesdropper could have decoded the slot, update the
-queues.  Channel-dependent rate grids are precomputed in batches so a
+queues.  `run` is the only implementation of this drift-plus-penalty
+controller.  Channel-dependent rate grids are precomputed in batches so a
 100k-slot run stays in the seconds range; the sequential part is only the
 queue recursion and the argmax.
 
@@ -13,13 +14,12 @@ bit for bit and structural changes to one stream never shift the others.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RngStreams, ChannelRealization, sample_realization_batch
-from .control import ControlWeights, SlotDecision, ascending_grid
+from .channel import _MAX_SEED, RngStreams, sample_realization_batch
+from .control import ascending_grid
 from .errors import ConfigError, InvariantViolation
 from .secrecy import (
     INSTANTANEOUS,
@@ -32,7 +32,6 @@ from .secrecy import (
 )
 
 _CHUNK = 4096
-_MAX_SEED = 2**64
 
 _DEFAULT_POWER_GRID = (0.0, 100.0, 200.0, 300.0)
 _DEFAULT_RATIO_GRID = tuple(i / 20 for i in range(21))
@@ -85,12 +84,10 @@ class ScenarioConfig:
         elif self.colluding and isinstance(self.n_antennas, int) \
                 and isinstance(self.n_eves, int) and self.n_antennas <= self.n_eves:
             problems.append("colluding eavesdroppers require n_antennas > n_eves")
-        if self.csi not in (INSTANTANEOUS, PARTIAL):
-            problems.append(f"csi must be '{INSTANTANEOUS}' or '{PARTIAL}', got {self.csi!r}")
-        elif self.csi == INSTANTANEOUS and self.eta != 0.0:
-            problems.append("eta must be 0 under instantaneous csi")
-        elif self.csi == PARTIAL and not 0.0 < self.eta < 1.0:
-            problems.append(f"eta must lie in (0, 1) under partial csi, got {self.eta!r}")
+        try:
+            self.regime  # SecrecyRegime holds the csi/eta rule
+        except ConfigError as exc:
+            problems.append(str(exc))
         if not self.v > 0:
             problems.append(f"v must be positive, got {self.v!r}")
         if len(self.theta) != self.n_users or any(t <= 0 for t in self.theta):
@@ -122,10 +119,6 @@ class ScenarioConfig:
     @property
     def regime(self) -> SecrecyRegime:
         return SecrecyRegime(csi=self.csi, colluding=self.colluding, eta=self.eta)
-
-    @property
-    def weights(self) -> ControlWeights:
-        return ControlWeights(v=self.v, theta=np.asarray(self.theta))
 
 
 @dataclass
@@ -160,40 +153,20 @@ class RunMetrics:
     max_queue: float
     max_power_queue: float
     power_queue_final: float
-    queue_bound_violations: int
     max_served_rate: float
     empirical_gamma: float
-    total_power: float
     trace: list[SlotTraceRecord] | None = None
 
 
-def sample_arrivals(config, rng: np.random.Generator) -> np.ndarray:
-    """Per-user packet arrivals: Binomial(a_max, arrival_mean / a_max)."""
-    if not 0.0 < config.arrival_mean <= config.a_max:
-        raise ConfigError(
-            f"arrival_mean must lie in (0, a_max], got {config.arrival_mean!r}"
-        )
-    draws = rng.binomial(config.a_max, config.arrival_mean / config.a_max,
-                         size=config.n_users)
-    return draws.astype(float)
+def sample_arrivals(config, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Per-user packet arrivals of `count` slots, shape (count, n_users).
 
-
-def audit_outage(decision: SlotDecision, realization: ChannelRealization,
-                 regime: SecrecyRegime) -> bool:
-    """Did the eavesdroppers' realized capacity exceed the rate cost?
-
-    Only meaningful for slots that carried a message.  The realized capacity
-    is recomputed through the same kernel that priced the decision, so under
-    instantaneous CSI the comparison is between bit-identical values and the
-    strict inequality can never fire.
+    Each draw is Binomial(a_max, arrival_mean / a_max); `ScenarioConfig.validate`
+    keeps arrival_mean in (0, a_max].
     """
-    if decision.secrecy_rate <= 0.0:
-        raise ValueError("outage is only defined for slots that transmitted a message")
-    stats = channel_stats(realization.legit, realization.eves, regime.colluding)
-    _, cap_eves = capacity_grids(
-        stats, np.array([decision.power]), np.array([decision.data_fraction])
-    )
-    return bool(cap_eves[decision.user, 0, 0] > decision.rate_cost)
+    draws = rng.binomial(config.a_max, config.arrival_mean / config.a_max,
+                         size=(count, config.n_users))
+    return draws.astype(float)
 
 
 def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
@@ -209,7 +182,6 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         cost_table = rate_cost_table(fraction, regime, config.n_antennas, config.n_eves)
 
     streams = RngStreams(config.seed)
-    arrival_p = config.arrival_mean / config.a_max
     v_theta = config.v * np.asarray(config.theta)
     queue_cap = v_theta + config.a_max
 
@@ -231,9 +203,7 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
     while done < config.n_slots:
         count = min(_CHUNK, config.n_slots - done)
         legit, eves = sample_realization_batch(config, streams, count)
-        arrivals = streams.arrivals.binomial(
-            config.a_max, arrival_p, size=(count, k)
-        ).astype(float)
+        arrivals = sample_arrivals(config, streams.arrivals, count)
         stats = channel_stats(legit, eves, regime.colluding)
         cap_users, cap_eves = capacity_grids(stats, power, fraction)
         rates = secrecy_rate_grid(cap_users, cap_eves, regime, cost_table)
@@ -245,7 +215,12 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         for t in range(count):
             slot = done + t
             backlog_sum += backlog
+            # Admission minimizes sum (U_i - V theta_i) R_i over 0 <= R_i <= A_i,
+            # the boundary going to full admission; with the allocation below it
+            # caps every backlog at V theta_i + A_max.
             admitted = np.where(backlog <= v_theta, arrivals[t], 0.0)
+            # The zero-power action scores 0, so the objective is never negative;
+            # argmax ties go to the lowest user, then power, then data fraction.
             score = backlog[:, None, None] * rates[t] - power_queue * power[:, None]
             user, p_idx, f_idx = np.unravel_index(int(np.argmax(score)), score.shape)
             slot_rate = float(rates[t, user, p_idx, f_idx])
@@ -308,9 +283,7 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         max_queue=max_backlog,
         max_power_queue=max_power_queue,
         power_queue_final=power_queue,
-        queue_bound_violations=0,
         max_served_rate=max_served_rate,
         empirical_gamma=gamma,
-        total_power=power_sum,
         trace=trace,
     )

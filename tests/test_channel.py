@@ -14,7 +14,6 @@ from secsched import (
     RngStreams,
     beamforming_basis,
     sample_complex_gaussian,
-    sample_complex_gaussian_vector,
     sample_realization,
     sample_realization_batch,
 )
@@ -82,13 +81,6 @@ def test_batch_equals_sequential_draws():
         assert np.array_equal(r.eves, batch_eves[t])
 
 
-def test_vector_sampler_validates_length():
-    with pytest.raises(ValueError):
-        sample_complex_gaussian_vector(0, RngStreams(0).legit)
-    v = sample_complex_gaussian_vector(4, RngStreams(0).legit)
-    assert v.shape == (4,)
-
-
 @pytest.mark.parametrize("n", [2, 3, 6, 12])
 def test_basis_invariants(n):
     rng = RngStreams(123).legit
@@ -108,7 +100,7 @@ def test_basis_invariants(n):
 def test_basis_against_svd_nullspace():
     rng = RngStreams(9).legit
     for _ in range(50):
-        h = sample_complex_gaussian_vector(6, rng)
+        h = sample_complex_gaussian((6,), rng)
         basis = beamforming_basis(h)
         oracle = scipy.linalg.null_space(h[None, :])
         # compare projectors, which are basis-choice independent

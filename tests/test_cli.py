@@ -50,10 +50,14 @@ def test_run_writes_summary(tmp_path):
     assert int(row["n_transmit_slots"]) > 0
     assert float(row["empirical_outage"]) == 0.0
     assert float(row["max_queue"]) <= 130.0
-    assert int(row["queue_bound_violations"]) == 0
-    for col in ("admission_rate_0", "admission_rate_1", "avg_queue_0",
-                "avg_queue_1", "slots_served_0", "slots_served_1"):
-        assert col in row
+    assert header == [
+        "n_antennas", "n_eves", "n_users", "colluding", "csi", "eta", "v", "p_av",
+        "arrival_mean", "a_max", "n_slots", "seed",
+        "weighted_admission_rate", "avg_power", "empirical_outage", "n_transmit_slots",
+        "max_queue", "max_power_queue", "power_queue_final", "max_served_rate",
+        "empirical_gamma", "admission_rate_0", "admission_rate_1", "avg_queue_0",
+        "avg_queue_1", "slots_served_0", "slots_served_1",
+    ]
 
 
 def test_run_is_byte_reproducible(tmp_path):
@@ -181,6 +185,14 @@ def test_invalid_physics_exits_one(tmp_path):
     assert main(["run", "--config", cfg]) == 1
 
 
+def test_run_with_uninvertible_outage_level_exits_one(tmp_path, capsys):
+    # 1 - (1 - eta)^(1/n_eves) rounds to 0, so no rate cost meets the target
+    cfg = _write_config(tmp_path / "c.json", csi="partial", eta=1e-300)
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "outage level 1e-300" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["run"]) == 1  # --config is required
@@ -301,6 +313,12 @@ def test_validate_outage_colluding_flag(tmp_path):
     # colluding eavesdroppers must force a larger rate sacrifice
     costs = {float(r[0]): float(r[1]) for r in rows[1:]}
     assert costs[0.5] > math.log2(6.0) - 1e-9
+
+
+def test_validate_outage_uninvertible_level_exits_one(capsys):
+    assert main(["validate-outage", "--eta", "1e-300", "--samples", "10000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "outage level 1e-300" in err
 
 
 def test_validate_outage_bad_arguments(capsys):

@@ -1,104 +1,84 @@
-"""Admission threshold, grid allocation, queue recursions, guarantee constants."""
+"""The control law (admission threshold, grid allocation, queue recursions)
+checked on traced runs of `run`, its only implementation; plus grid
+validation and the guarantee constants.
+"""
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from secsched import (
     ConfigError,
-    ControlWeights,
-    QueueState,
     RngStreams,
-    SecrecyRegime,
+    ScenarioConfig,
     TransmitParams,
-    admit,
-    allocate,
     choose_v,
     compute_bounds,
-    sample_complex_gaussian,
+    run,
+    sample_realization,
     secrecy_rate,
-    update_data_queue,
-    update_power_queue,
 )
-from secsched.channel import ChannelRealization
 from secsched.control import ascending_grid
-from secsched.simulator import ScenarioConfig
 
 
-def _draw(seed, n_users=2, n_eves=3, n=6):
-    s = RngStreams(seed)
-    return ChannelRealization(
-        legit=sample_complex_gaussian((n_users, n), s.legit),
-        eves=sample_complex_gaussian((n_eves, n), s.eves),
-    )
+def _traced(**kw):
+    config = ScenarioConfig(**kw)
+    return config, run(config, collect_trace=True).trace
+
+
+def _states_before(config, trace):
+    """Backlogs and virtual power queue entering each traced slot."""
+    backlogs = [np.zeros(config.n_users)] + [r.queues for r in trace[:-1]]
+    power_queues = [0.0] + [r.power_queue for r in trace[:-1]]
+    return zip(backlogs, power_queues, trace)
 
 
 # --- admission ----------------------------------------------------------------
 
 def test_admit_thresholds_on_backlog():
-    weights = ControlWeights(v=100.0, theta=np.array([1.0, 2.0]))
-    queues = QueueState(data=np.array([100.0, 200.1]))
-    arrivals = np.array([7.0, 9.0])
-    out = admit(arrivals, queues, weights)
-    # user 0 sits exactly on V*theta, which still admits; user 1 is just above
-    assert np.array_equal(out, [7.0, 0.0])
+    # with no transmit power the backlogs only fill, 30 per slot: 30, 60, 90;
+    # 90 sits exactly on V*theta, which still admits, and 120 does not
+    _, trace = _traced(power_grid=(0.0,), v=90.0, n_slots=5)
+    assert [r.admissions.tolist() for r in trace] == [[30.0, 30.0]] * 4 + [[0.0, 0.0]]
+    assert trace[-1].queues.tolist() == [120.0, 120.0]
 
 
 def test_admit_is_the_linear_program_minimizer():
     # the admission step claims to minimize sum (U_i - V theta_i) R_i over the
     # box [0, A_i]; a linear objective is minimized at a vertex, so enumerate
     # all of them and compare
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        k = int(rng.integers(1, 5))
-        weights = ControlWeights(v=float(rng.uniform(1, 50)),
-                                 theta=rng.uniform(0.5, 3.0, size=k))
-        queues = QueueState(data=rng.uniform(0, 100, size=k))
-        arrivals = rng.integers(0, 10, size=k).astype(float)
-        chosen = admit(arrivals, queues, weights)
-        coeff = queues.data - weights.v * weights.theta
-        best = min(np.dot(coeff, np.where(mask, arrivals, 0.0))
-                   for mask in itertools.product([False, True], repeat=k))
-        assert np.dot(coeff, chosen) <= best + 1e-12
-
-
-def test_admit_validation():
-    weights = ControlWeights(v=10.0, theta=np.ones(2))
-    queues = QueueState(data=np.zeros(2))
-    with pytest.raises(ValueError):
-        admit(np.array([1.0]), queues, weights)
-    with pytest.raises(ValueError):
-        admit(np.array([-1.0, 0.0]), queues, weights)
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        QueueState(data=np.array([-1.0]))
-    with pytest.raises(ValueError):
-        QueueState(data=np.zeros(2), power_virtual=-0.5)
-    with pytest.raises(ValueError):
-        ControlWeights(v=0.0, theta=np.ones(2))
-    with pytest.raises(ValueError):
-        ControlWeights(v=5.0, theta=np.array([1.0, 0.0]))
+    config, trace = _traced(n_users=3, theta=(0.5, 1.0, 2.0), v=20.0,
+                            arrival_mean=12.0, n_slots=300, seed=3)
+    v_theta = config.v * np.asarray(config.theta)
+    for backlog, _, rec in _states_before(config, trace):
+        coeff = backlog - v_theta
+        best = min(np.dot(coeff, np.where(mask, rec.arrivals, 0.0))
+                   for mask in itertools.product([False, True], repeat=3))
+        assert np.dot(coeff, rec.admissions) <= best + 1e-12
 
 
 # --- queue recursions -----------------------------------------------------------
 
 def test_data_queue_update():
-    assert update_data_queue(10.0, 4.0, True, 3.0) == 9.0
-    assert update_data_queue(2.0, 4.0, True, 3.0) == 3.0  # service floors at zero
-    assert update_data_queue(2.0, 4.0, False, 3.0) == 5.0
-    with pytest.raises(ValueError):
-        update_data_queue(-1.0, 0.0, False, 0.0)
+    # light traffic lets one slot's service exceed the backlog, which floors at 0
+    config, trace = _traced(arrival_mean=1.0, n_slots=300, seed=5)
+    floored = 0
+    for backlog, _, rec in _states_before(config, trace):
+        served = np.zeros(config.n_users)
+        served[rec.user] = rec.secrecy_rate  # 0 on idle slots
+        assert np.array_equal(rec.queues, np.maximum(backlog - served, 0.0) + rec.admissions)
+        floored += rec.secrecy_rate > backlog[rec.user]
+    assert floored > 0
 
 
 def test_power_queue_update():
-    assert update_power_queue(50.0, 300.0, 200.0) == 300.0
-    assert update_power_queue(100.0, 0.0, 200.0) == 0.0
-    assert update_power_queue(500.0, 100.0, 200.0) == 400.0
-    with pytest.raises(ValueError):
-        update_power_queue(1.0, -1.0, 2.0)
+    config, trace = _traced(n_slots=300, seed=5)
+    drained = above = 0
+    for _, power_queue, rec in _states_before(config, trace):
+        assert rec.power_queue == max(power_queue - config.p_av, 0.0) + rec.power
+        drained += power_queue < config.p_av
+        above += power_queue > config.p_av
+    assert drained > 0 and above > 0
 
 
 # --- grids ----------------------------------------------------------------------
@@ -121,11 +101,12 @@ def test_ascending_grid_rules():
 
 # --- allocation -------------------------------------------------------------------
 
-def _brute_force(real, queues, power, fraction, regime):
+def _brute_force(real, backlog, power_queue, config):
     best = None
-    for user, p, f in itertools.product(range(real.n_users), power, fraction):
-        res = secrecy_rate(real, user, TransmitParams(p, f, real.n_antennas), regime)
-        score = queues.data[user] * res.secrecy_rate - queues.power_virtual * p
+    for user, p, f in itertools.product(range(config.n_users), config.power_grid,
+                                        config.ratio_grid):
+        res = secrecy_rate(real, user, TransmitParams(p, f, config.n_antennas), config.regime)
+        score = backlog[user] * res.secrecy_rate - power_queue * p
         if best is None or score > best[0]:
             best = (score, user, p, f, res)
     return best
@@ -137,78 +118,40 @@ def _brute_force(real, queues, power, fraction, regime):
 ])
 def test_allocate_matches_brute_force(csi, colluding):
     eta = 0.25 if csi == "partial" else 0.0
-    regime = SecrecyRegime(csi=csi, colluding=colluding, eta=eta)
-    power = (0.0, 100.0, 200.0, 300.0)
-    fraction = tuple(np.linspace(0.0, 1.0, 11))
-    rng = np.random.default_rng(1)
-    for trial in range(10):
-        real = _draw(1000 + trial)
-        queues = QueueState(data=rng.uniform(0, 120, size=2),
-                            power_virtual=float(rng.uniform(0, 400)))
-        dec = allocate(real, queues, power, fraction, regime)
-        score, user, p, f, res = _brute_force(real, queues, power, fraction, regime)
-        assert (dec.user, dec.power, dec.data_fraction) == (user, p, f)
-        assert dec.objective == pytest.approx(max(score, 0.0), abs=1e-9)
-        assert dec.secrecy_rate == pytest.approx(res.secrecy_rate, abs=1e-9)
-        assert dec.codeword_rate == pytest.approx(res.codeword_rate, abs=1e-9)
+    config, trace = _traced(csi=csi, colluding=colluding, eta=eta,
+                            ratio_grid=tuple(np.linspace(0.0, 1.0, 11)), n_slots=200, seed=1)
+    streams = RngStreams(config.seed)
+    for t, (backlog, power_queue, rec) in enumerate(_states_before(config, trace)):
+        real = sample_realization(config, streams)
+        if t % 10:
+            continue
+        score, user, p, f, res = _brute_force(real, backlog, power_queue, config)
+        assert (rec.user, rec.power, rec.data_fraction) == (user, p, f)
+        assert score >= 0.0
+        assert rec.secrecy_rate == pytest.approx(res.secrecy_rate, abs=1e-9)
+        assert rec.codeword_rate == pytest.approx(res.codeword_rate, abs=1e-9)
 
 
 def test_allocate_tie_breaks_to_first_action():
-    real = _draw(7)
-    regime = SecrecyRegime(csi="instantaneous", colluding=False)
-    queues = QueueState(data=np.zeros(2), power_virtual=10.0)
-    dec = allocate(real, queues, (0.0, 100.0), (0.0, 0.5, 1.0), regime)
-    assert (dec.user, dec.power, dec.data_fraction) == (0, 0.0, 0.0)
-    assert dec.objective == 0.0
-    assert not dec.transmitting and dec.served_user is None
+    # empty queues score every action 0: the first one, idling, is chosen
+    _, trace = _traced(n_slots=1)
+    rec = trace[0]
+    assert (rec.user, rec.power, rec.data_fraction) == (0, 0.0, 0.0)
+    assert rec.secrecy_rate == 0.0 and not rec.outage
 
 
 def test_allocate_objective_never_negative():
-    regime = SecrecyRegime(csi="instantaneous", colluding=True)
-    rng = np.random.default_rng(5)
-    for trial in range(20):
-        real = _draw(2000 + trial)
-        queues = QueueState(data=rng.uniform(0, 50, size=2),
-                            power_virtual=float(rng.uniform(0, 1000)))
-        dec = allocate(real, queues, (0.0, 50.0, 300.0), (0.0, 0.25, 0.75), regime)
-        assert dec.objective >= 0.0
+    config, trace = _traced(colluding=True, power_grid=(0.0, 50.0, 300.0),
+                            ratio_grid=(0.0, 0.25, 0.75), n_slots=500, seed=2)
+    for backlog, power_queue, rec in _states_before(config, trace):
+        assert backlog[rec.user] * rec.secrecy_rate - power_queue * rec.power >= 0.0
 
 
 def test_allocate_grid_requirements():
-    real = _draw(9)
-    regime = SecrecyRegime(csi="instantaneous", colluding=False)
-    queues = QueueState(data=np.ones(2))
     with pytest.raises(ConfigError):
-        allocate(real, queues, (100.0, 200.0), (0.0, 0.5), regime)  # no idle power
+        run(ScenarioConfig(power_grid=(100.0, 200.0), n_slots=10))  # no idle power
     with pytest.raises(ConfigError):
-        allocate(real, queues, (0.0, 100.0), (0.0, 1.5), regime)
-    with pytest.raises(ValueError):
-        allocate(ChannelRealization(legit=real.legit[:1], eves=real.eves),
-                 queues, (0.0, 100.0), (0.0, 0.5), regime)
-
-
-def test_allocate_accepts_precomputed_cost_table():
-    from secsched import rate_cost_table
-    real = _draw(13)
-    regime = SecrecyRegime(csi="partial", colluding=False, eta=0.3)
-    queues = QueueState(data=np.array([40.0, 70.0]), power_virtual=20.0)
-    fraction = tuple(np.linspace(0.0, 1.0, 11))
-    table = rate_cost_table(np.asarray(fraction), regime, 6, 3)
-    a = allocate(real, queues, (0.0, 100.0, 300.0), fraction, regime)
-    b = allocate(real, queues, (0.0, 100.0, 300.0), fraction, regime, cost_table=table)
-    assert (a.user, a.power, a.data_fraction, a.objective) == \
-           (b.user, b.power, b.data_fraction, b.objective)
-    with pytest.raises(ValueError):
-        allocate(real, queues, (0.0, 100.0), fraction, regime, cost_table=table[:3])
-
-
-def test_allocate_serves_dominant_queue():
-    # one hugely backlogged user and no power price: the busy user wins
-    real = _draw(21)
-    regime = SecrecyRegime(csi="instantaneous", colluding=False)
-    queues = QueueState(data=np.array([0.0, 500.0]), power_virtual=0.0)
-    dec = allocate(real, queues, (0.0, 100.0, 300.0), (0.0, 0.25, 0.5, 0.75), regime)
-    assert dec.user == 1 and dec.power > 0.0 and dec.secrecy_rate > 0.0
+        run(ScenarioConfig(ratio_grid=(0.0, 1.5), n_slots=10))
 
 
 # --- guarantee constants -----------------------------------------------------------

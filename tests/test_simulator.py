@@ -1,29 +1,26 @@
 """End-to-end simulator tests: determinism, queue laws, trace fidelity.
 
-The strongest check here replays a traced run through the public one-slot
-operations (sample, admit, allocate, update) and demands bit-identical
-decisions and queue trajectories.
+The strongest check here replays a traced run through the batched kernels
+on regenerated channels and arrivals, with the queue recursions written out,
+and demands bit-identical decisions and queue trajectories.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
 from secsched import (
     ConfigError,
-    QueueState,
     RngStreams,
+    RunMetrics,
     ScenarioConfig,
-    SlotDecision,
-    admit,
-    allocate,
-    audit_outage,
+    SlotTraceRecord,
     run,
     sample_arrivals,
-    sample_realization,
-    update_data_queue,
-    update_power_queue,
+    sample_realization_batch,
 )
-from secsched.channel import ChannelRealization
-from secsched.secrecy import rate_cost_table
+import secsched.simulator as simulator
+from secsched.secrecy import capacity_grids, channel_stats, rate_cost_table, secrecy_rate_grid
 
 
 def _small(**kw):
@@ -39,7 +36,6 @@ def test_defaults_validate():
     assert config.power_grid == (0.0, 100.0, 200.0, 300.0)
     assert len(config.ratio_grid) == 21
     assert config.regime.csi == "instantaneous"
-    assert config.weights.v == 100.0
 
 
 def test_grids_are_sorted_on_construction():
@@ -83,7 +79,7 @@ def test_run_rejects_invalid_config():
 def test_arrival_moments():
     config = ScenarioConfig(arrival_mean=15.0)
     rng = RngStreams(3).arrivals
-    draws = np.array([sample_arrivals(config, rng) for _ in range(250_000)])
+    draws = sample_arrivals(config, rng, 250_000)
     assert draws.shape == (250_000, 2)
     assert np.all(draws == np.floor(draws))
     assert np.all((0 <= draws) & (draws <= 30))
@@ -94,16 +90,16 @@ def test_arrival_moments():
 
 def test_arrivals_at_the_cap_are_constant():
     config = ScenarioConfig(arrival_mean=30.0)
-    rng = RngStreams(0).arrivals
-    for _ in range(100):
-        assert np.array_equal(sample_arrivals(config, rng), [30.0, 30.0])
+    draws = sample_arrivals(config, RngStreams(0).arrivals, 100)
+    assert np.array_equal(draws, np.full((100, 2), 30.0))
 
 
 def test_arrival_validation():
-    bad = ScenarioConfig()
-    bad.arrival_mean = 31.0  # above a_max
+    bad = ScenarioConfig(arrival_mean=31.0, n_slots=10)  # above a_max
+    with pytest.raises(ConfigError, match="arrival_mean"):
+        bad.validate()
     with pytest.raises(ConfigError):
-        sample_arrivals(bad, RngStreams(0).arrivals)
+        run(bad)
 
 
 # --- whole-run properties -----------------------------------------------------------
@@ -137,7 +133,6 @@ def test_substream_isolation_across_structure_changes():
 
 def test_queue_cap_holds():
     m = run(_small(n_slots=3000))
-    assert m.queue_bound_violations == 0
     assert m.max_queue <= 100.0 * 1.0 + 30.0
 
 
@@ -153,7 +148,7 @@ def test_power_telescoping_inequality():
     # queue bound exactly, not just asymptotically
     for seed in (1, 2, 3):
         m = run(_small(seed=seed, n_slots=1500))
-        assert m.total_power <= 1500 * 200.0 + m.power_queue_final + 1e-9
+        assert m.avg_power * 1500 <= 1500 * 200.0 + m.power_queue_final + 1e-9
         assert m.avg_power <= 200.0 + m.power_queue_final / 1500 + 1e-12
 
 
@@ -173,7 +168,7 @@ def test_metrics_bookkeeping():
     m = run(_small(n_slots=500), collect_trace=True)
     assert m.n_slots == 500 and len(m.trace) == 500
     assert m.n_transmit_slots == int(m.slots_served.sum())
-    assert m.total_power == pytest.approx(sum(r.power for r in m.trace))
+    assert m.avg_power * 500 == pytest.approx(sum(r.power for r in m.trace))
     assert m.max_queue == pytest.approx(max(r.queues.max() for r in m.trace))
     assert m.max_power_queue == pytest.approx(max(r.power_queue for r in m.trace))
     assert m.power_queue_final == m.trace[-1].power_queue
@@ -185,51 +180,83 @@ def test_metrics_bookkeeping():
 @pytest.mark.parametrize("csi,colluding", [
     ("instantaneous", False), ("instantaneous", True), ("partial", True),
 ])
-def test_traced_run_replays_through_public_single_slot_ops(csi, colluding):
+def test_traced_run_replays_through_batched_kernels(csi, colluding):
     eta = 0.3 if csi == "partial" else 0.0
     config = _small(n_slots=300, csi=csi, eta=eta, colluding=colluding, seed=31)
-    metrics = run(config, collect_trace=True)
+    trace = run(config, collect_trace=True).trace
+    t_all, k = config.n_slots, config.n_users
     regime = config.regime
-    cost_table = None
-    if csi == "partial":
-        cost_table = rate_cost_table(np.asarray(config.ratio_grid), regime,
-                                     config.n_antennas, config.n_eves)
+    power = np.asarray(config.power_grid)
+    fraction = np.asarray(config.ratio_grid)
+
+    def column(name):
+        return np.array([getattr(rec, name) for rec in trace])
 
     streams = RngStreams(config.seed)
-    queues = QueueState(data=np.zeros(2), power_virtual=0.0)
-    for rec in metrics.trace:
-        real = sample_realization(config, streams)
-        arrivals = sample_arrivals(config, streams.arrivals)
-        assert np.array_equal(arrivals, rec.arrivals)
-        admissions = admit(arrivals, queues, config.weights)
-        assert np.array_equal(admissions, rec.admissions)
-        dec = allocate(real, queues, config.power_grid, config.ratio_grid,
-                       regime, cost_table)
-        assert (dec.user, dec.power, dec.data_fraction) == \
-               (rec.user, rec.power, rec.data_fraction)
-        assert dec.secrecy_rate == rec.secrecy_rate
-        assert dec.codeword_rate == rec.codeword_rate
-        assert dec.rate_cost == rec.rate_cost
-        if dec.transmitting:
-            assert audit_outage(dec, real, regime) == rec.outage
-        served = dec.served_user
-        for i in range(2):
-            queues.data[i] = update_data_queue(
-                queues.data[i], dec.secrecy_rate if i == served else 0.0,
-                i == served, admissions[i])
-        queues.power_virtual = update_power_queue(
-            queues.power_virtual, dec.power, config.p_av)
-        assert np.array_equal(queues.data, rec.queues)
-        assert queues.power_virtual == rec.power_queue
+    legit, eves = sample_realization_batch(config, streams, t_all)
+    arrivals = sample_arrivals(config, streams.arrivals, t_all)
+    assert np.array_equal(column("arrivals"), arrivals)
+
+    # queue recursions written out, entering each slot from the previous row
+    queues, power_queue = column("queues"), column("power_queue")
+    backlog = np.vstack([np.zeros((1, k)), queues[:-1]])
+    virtual = np.concatenate([[0.0], power_queue[:-1]])
+    admitted = np.where(backlog <= config.v * np.asarray(config.theta), arrivals, 0.0)
+    assert np.array_equal(column("admissions"), admitted)
+
+    # the chosen action is the first argmax of U * r - X * P
+    cost_table = None
+    if csi == "partial":
+        cost_table = rate_cost_table(fraction, regime, config.n_antennas, config.n_eves)
+    stats = channel_stats(legit, eves, colluding)
+    cap_users, cap_eves = capacity_grids(stats, power, fraction)
+    rates = secrecy_rate_grid(cap_users, cap_eves, regime, cost_table)
+    score = backlog[:, :, None, None] * rates - virtual[:, None, None, None] * power[:, None]
+    flat = np.argmax(score.reshape(t_all, -1), axis=1)
+    user, p_idx, f_idx = np.unravel_index(flat, score.shape[1:])
+    slot = np.arange(t_all)
+    assert np.array_equal(column("user"), user)
+    assert np.array_equal(column("power"), power[p_idx])
+    assert np.array_equal(column("data_fraction"), fraction[f_idx])
+    rate = rates[slot, user, p_idx, f_idx]
+    assert np.array_equal(column("secrecy_rate"), rate)
+    assert np.array_equal(column("codeword_rate"), cap_users[slot, user, p_idx, f_idx])
+
+    served = np.zeros((t_all, k))
+    served[slot, user] = rate
+    assert np.array_equal(queues, np.maximum(backlog - served, 0.0) + admitted)
+    assert np.array_equal(power_queue, np.maximum(virtual - config.p_av, 0.0) + power[p_idx])
+
+    # rate cost and outage: the realized eavesdropper capacity under
+    # instantaneous CSI, the pre-inverted table entry under partial CSI
+    eve = cap_eves[slot, user, p_idx, f_idx]
+    cost = eve if csi == "instantaneous" else cost_table[f_idx]
+    assert np.array_equal(column("eavesdropper_capacity"), eve)
+    assert np.array_equal(column("rate_cost"), cost)
+    assert np.array_equal(column("outage"), (rate > 0.0) & (eve > cost))
 
 
-def test_audit_outage_rejects_idle_slots():
-    real = ChannelRealization(legit=np.ones((2, 6), dtype=complex),
-                              eves=np.ones((3, 6), dtype=complex))
-    idle = SlotDecision(user=0, power=0.0, data_fraction=0.0, codeword_rate=0.0,
-                        rate_cost=0.0, secrecy_rate=0.0, objective=0.0)
-    with pytest.raises(ValueError):
-        audit_outage(idle, real, ScenarioConfig().regime)
+def _assert_same_run(a: RunMetrics, b: RunMetrics):
+    for f in dataclasses.fields(RunMetrics):
+        if f.name != "trace":
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+    assert len(a.trace) == len(b.trace)
+    for ra, rb in zip(a.trace, b.trace):
+        for f in dataclasses.fields(SlotTraceRecord):
+            np.testing.assert_array_equal(getattr(ra, f.name), getattr(rb, f.name))
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(arrival_mean=15.0, n_slots=600, seed=8),
+    ScenarioConfig(csi="partial", eta=0.3, colluding=True, n_slots=600, seed=8),
+], ids=["instantaneous-noncolluding", "partial-colluding"])
+def test_results_do_not_depend_on_chunk_size(config, monkeypatch):
+    runs = []
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        runs.append(run(config, collect_trace=True))
+    for other in runs[1:]:
+        _assert_same_run(runs[0], other)
 
 
 def test_partial_csi_run_has_near_target_outage():
