@@ -374,6 +374,18 @@ def channel_stats(legit: np.ndarray, eves: np.ndarray, colluding: bool) -> Chann
     )
 
 
+def legit_capacity_grid(legit_gain: np.ndarray, power_grid, ratio_grid) -> np.ndarray:
+    """Intended receivers' rates for every (power, data fraction) pair.
+
+    Needs only the squared channel norms, since artificial noise is invisible
+    to the intended receiver.  Shape legit_gain.shape + (n_powers, n_fractions).
+    """
+    power = np.asarray(power_grid, dtype=float)
+    fraction = np.asarray(ratio_grid, dtype=float)
+    data_power = power[:, None] * fraction[None, :]
+    return np.log2(1.0 + data_power * legit_gain[..., None, None])
+
+
 def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.ndarray):
     """Receiver and eavesdropper rates for every (power, data fraction) pair.
 
@@ -385,7 +397,7 @@ def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.n
     fraction = np.asarray(ratio_grid, dtype=float)
     data_power = power[:, None] * fraction[None, :]
     noise_power = power[:, None] * (1.0 - fraction[None, :]) / (stats.n_antennas - 1)
-    cap_users = np.log2(1.0 + data_power * stats.legit_gain[..., None, None])
+    cap_users = legit_capacity_grid(stats.legit_gain, power, fraction)
     if stats.noise_eigvals is None:
         ratio = stats.beam_leak[..., None, None] * data_power / (
             stats.null_leak[..., None, None] * noise_power + 1.0

@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -191,6 +192,16 @@ def test_run_with_uninvertible_outage_level_exits_one(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "outage level 1e-300" in err
+
+
+def test_overflowing_power_grid_exits_one(tmp_path, capsys):
+    # X*P reaches n_slots * 1e600 for this grid: rejected before any slot runs
+    cfg = _write_config(tmp_path / "c.json", power_grid=[0.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "power_grid" in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -20,6 +20,7 @@ from secsched import (
     sample_realization_batch,
 )
 import secsched.simulator as simulator
+from secsched.errors import InvariantViolation
 from secsched.secrecy import capacity_grids, channel_stats, rate_cost_table, secrecy_rate_grid
 
 
@@ -67,6 +68,18 @@ def test_validate_specific_rules():
     with pytest.raises(ConfigError):
         ScenarioConfig(seed=-1).validate()
     ScenarioConfig(csi="partial", eta=0.3).validate()
+
+
+def test_validate_rejects_overflowing_scores():
+    # X*P reaches n_slots * p_max**2 and U*r reaches (V*theta + A_max) * 1024
+    with pytest.raises(ConfigError, match="power_grid"):
+        ScenarioConfig(power_grid=(0.0, 1e300)).validate()
+    with pytest.raises(ConfigError, match="backlog cap"):
+        ScenarioConfig(v=1e306).validate()
+    with pytest.raises(ConfigError, match="backlog cap"):
+        ScenarioConfig(v=1e302, n_slots=10**7).validate()  # the summed backlogs
+    ScenarioConfig(power_grid=(0.0, 1e150)).validate()
+    ScenarioConfig(csi="partial", eta=0.1, colluding=True).validate()
 
 
 def test_run_rejects_invalid_config():
@@ -136,6 +149,27 @@ def test_queue_cap_holds():
     assert m.max_queue <= 100.0 * 1.0 + 30.0
 
 
+def test_queue_cap_breach_raises_at_the_first_slot(monkeypatch):
+    # a_max + 1 packets a slot and no power to serve them: user 1's backlog
+    # passes V*theta_1 + A_max = 123 at slot 3, user 0's cap of 130 holds
+    config = _small(n_slots=50, power_grid=(0.0,), theta=(1.0, 0.93))
+    monkeypatch.setattr(simulator, "sample_arrivals",
+                        lambda config, rng, count: np.full((count, 2), config.a_max + 1.0))
+    v_theta = config.v * np.asarray(config.theta)
+    cap = v_theta + config.a_max
+    backlog = np.zeros(2)
+    for slot in range(config.n_slots):
+        backlog = backlog + np.where(backlog <= v_theta, config.a_max + 1.0, 0.0)
+        if np.any(backlog > cap):
+            break
+    user = int(np.argmax(backlog > cap))
+    assert (slot, user, backlog[user], cap[user]) == (3, 1, 124.0, 123.0)
+    with pytest.raises(InvariantViolation) as err:
+        run(config)
+    assert (err.value.slot, err.value.user) == (slot, user)
+    assert (err.value.backlog, err.value.cap) == (backlog[user], cap[user])
+
+
 def test_instantaneous_outage_is_identically_zero():
     for colluding in (False, True):
         m = run(_small(n_slots=2000, colluding=colluding))
@@ -177,12 +211,19 @@ def test_metrics_bookkeeping():
     assert m.weighted_admission_rate == pytest.approx(float(m.admission_rate.sum()))
 
 
-@pytest.mark.parametrize("csi,colluding", [
-    ("instantaneous", False), ("instantaneous", True), ("partial", True),
+@pytest.mark.parametrize("csi,colluding,overrides", [
+    pytest.param("instantaneous", False, {}, id="instantaneous-False"),
+    pytest.param("instantaneous", True, {}, id="instantaneous-True"),
+    pytest.param("partial", True, {}, id="partial-True"),
+    pytest.param("partial", False, {}, id="partial-False"),
+    # a budget far below the grid and a large V: backlogs near 9000 and a
+    # power queue X in the hundreds, so X*P is large against U*r
+    pytest.param("instantaneous", False, dict(p_av=5.0, v=1e4),
+                 id="instantaneous-False-low-p_av"),
 ])
-def test_traced_run_replays_through_batched_kernels(csi, colluding):
+def test_traced_run_replays_through_batched_kernels(csi, colluding, overrides):
     eta = 0.3 if csi == "partial" else 0.0
-    config = _small(n_slots=300, csi=csi, eta=eta, colluding=colluding, seed=31)
+    config = _small(n_slots=300, csi=csi, eta=eta, colluding=colluding, seed=31, **overrides)
     trace = run(config, collect_trace=True).trace
     t_all, k = config.n_slots, config.n_users
     regime = config.regime
@@ -234,6 +275,64 @@ def test_traced_run_replays_through_batched_kernels(csi, colluding):
     assert np.array_equal(column("eavesdropper_capacity"), eve)
     assert np.array_equal(column("rate_cost"), cost)
     assert np.array_equal(column("outage"), (rate > 0.0) & (eve > cost))
+
+
+# --- the per-slot action choice -------------------------------------------------
+
+def _full_grid_choice(backlog, power_queue, power, rates):
+    score = np.asarray(backlog)[:, None, None] * rates - power_queue * np.asarray(power)[:, None]
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(score)), score.shape))
+
+
+def _cell_choice(backlog, power_queue, power, rates):
+    best_f, best_rate, earlier = simulator._best_fractions(rates)
+    user, p_idx, f_idx, rate = simulator._choose_action(
+        [float(u) for u in backlog], [power_queue * float(p) for p in power],
+        best_rate.ravel().tolist(), best_f.ravel().tolist(), earlier.ravel().tolist(), rates)
+    assert rate == rates[user, p_idx, f_idx]
+    return user, p_idx, f_idx
+
+
+def test_action_choice_ties_match_the_full_grid_argmax():
+    rng = np.random.default_rng(5)
+    rates = rng.uniform(0.0, 5.0, size=(2, 3, 4))
+    # U = 0: every fraction of a user scores -X*P
+    for backlog, power_queue in (([0.0, 0.0], 0.0), ([0.0, 0.0], 3.0), ([0.0, 2.0], 3.0)):
+        assert _cell_choice(backlog, power_queue, [0.0, 1.0, 2.0], rates) == \
+            _full_grid_choice(backlog, power_queue, [0.0, 1.0, 2.0], rates)
+    assert _cell_choice([0.0, 0.0], 3.0, [0.0, 1.0, 2.0], rates) == (0, 0, 0)
+
+    # products that round equal: adjacent rates times U = 1.5 * 2**53 (a power
+    # of two would multiply exactly), so the earlier fraction wins
+    level = 1.5 * 2.0**53
+    low, high = 6.004923751903786, 6.004923751903787
+    assert low < high and level * low == level * high
+    tied = np.array([[[0.5, low, 0.25, high]], [[1.0, 2.0, 3.0, 4.0]]])
+    assert _cell_choice([level, 1.0], 0.0, [1.0], tied) == (0, 0, 1)
+    assert _full_grid_choice([level, 1.0], 0.0, [1.0], tied) == (0, 0, 1)
+
+    # X*P = 2**53 leaves U*r - X*P a spacing of 1: 0.6, 1.4 and 1.45 score
+    # alike although their products differ; X*P = 2**60 absorbs U*r whole
+    absorbed = np.array([[[0.2, 0.6, 1.4, 1.45]]])
+    assert 1.0 * 0.6 - 2.0**53 == 1.0 * 1.45 - 2.0**53
+    for power_queue, expected in ((2.0**53, (0, 0, 1)), (2.0**60, (0, 0, 0))):
+        assert _cell_choice([1.0], power_queue, [1.0], absorbed) == expected
+        assert _full_grid_choice([1.0], power_queue, [1.0], absorbed) == expected
+
+    # random states, with coarse rates and backlogs so exact ties are common
+    for _ in range(3000):
+        k, n_p, n_f = rng.integers(1, 4), rng.integers(1, 5), rng.integers(1, 7)
+        if rng.random() < 0.5:
+            grid = rng.integers(0, 4, size=(k, n_p, n_f)) / 2.0
+        else:
+            grid = rng.uniform(0.0, 10.0, size=(k, n_p, n_f))
+        backlog = rng.choice([0.0, 1.0, 3.0, 2.0**53, 1.5 * 2.0**53], size=k)
+        if rng.random() < 0.5:
+            backlog = rng.uniform(0.0, 200.0, size=k)
+        power = np.sort(rng.choice([0.0, 1.0, 100.0, 250.0, 300.0], size=n_p))
+        power_queue = float(rng.choice([0.0, 0.5, 40.0, 2.0**53, rng.uniform(0.0, 1e4)]))
+        assert _cell_choice(backlog, power_queue, power, grid) == \
+            _full_grid_choice(backlog, power_queue, power, grid)
 
 
 def _assert_same_run(a: RunMetrics, b: RunMetrics):
