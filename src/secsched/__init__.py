@@ -35,7 +35,7 @@ from .secrecy import (
     rate_cost_table,
     secrecy_rate,
 )
-from .simulator import RunMetrics, ScenarioConfig, SlotTraceRecord, run, sample_arrivals
+from .simulator import RunMetrics, ScenarioConfig, SlotTrace, run, sample_arrivals
 
 __all__ = [
     "ChannelRealization", "RngStreams", "beamforming_basis", "sample_complex_gaussian",
@@ -48,7 +48,7 @@ __all__ = [
     "cap_legit", "colluding_outage_ccdf", "noncolluding_outage_cdf",
     "rate_cost_colluding", "rate_cost_noncolluding", "rate_cost_noncolluding_bisect",
     "rate_cost_table", "secrecy_rate",
-    "RunMetrics", "ScenarioConfig", "SlotTraceRecord", "run", "sample_arrivals",
+    "RunMetrics", "ScenarioConfig", "SlotTrace", "run", "sample_arrivals",
 ]
 
 __version__ = "0.1.0"

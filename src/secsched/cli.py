@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .secrecy import PARTIAL, calibrate_outage
-from .simulator import _DEFAULT_RATIO_GRID, RunMetrics, ScenarioConfig, run
+from .simulator import _DEFAULT_RATIO_GRID, RunMetrics, ScenarioConfig, SlotTrace, run
 
 # Config keys and their JSON types come from ScenarioConfig's annotations,
 # which are the strings "int", "float", "bool", "str" and "tuple".
@@ -98,12 +98,13 @@ def _load_json(path: str):
 
 
 def _fmt(value) -> str:
+    # floats first: they are most of a trace's values, and no bool or int is one
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
     return str(value)
 
 
@@ -145,26 +146,22 @@ def _write_summary(fh, config: ScenarioConfig, metrics: RunMetrics):
     writer.writerow([_fmt(v) for v in echo + _metric_values(metrics)])
 
 
-def _write_trace(fh, config: ScenarioConfig, metrics: RunMetrics):
-    k = config.n_users
+def _write_trace(fh, trace: SlotTrace):
+    """One column per SlotTrace field, or per user (`name_i`) for a per-user field."""
+    header, columns = [], []
+    for field in dataclasses.fields(SlotTrace):
+        values = getattr(trace, field.name)
+        if values.ndim == 1:
+            header.append(field.name)
+            columns.append(values)
+        else:
+            header += [f"{field.name}_{i}" for i in range(values.shape[1])]
+            columns += list(values.T)
     writer = csv.writer(fh)
-    header = ["slot"]
-    header += [f"arrival_{i}" for i in range(k)]
-    header += [f"admitted_{i}" for i in range(k)]
-    header += ["user", "power", "data_fraction", "codeword_rate", "rate_cost",
-               "secrecy_rate", "eavesdropper_capacity", "outage"]
-    header += [f"queue_{i}" for i in range(k)]
-    header += ["power_queue"]
     writer.writerow(header)
-    for rec in metrics.trace:
-        row = [rec.slot]
-        row += list(rec.arrivals)
-        row += list(rec.admissions)
-        row += [rec.user, rec.power, rec.data_fraction, rec.codeword_rate,
-                rec.rate_cost, rec.secrecy_rate, rec.eavesdropper_capacity, rec.outage]
-        row += list(rec.queues)
-        row += [rec.power_queue]
-        writer.writerow([_fmt(v) for v in row])
+    # format 4096 rows at a time, so only one block of strings is alive
+    for start in range(0, len(trace.slot), 4096):
+        writer.writerows(zip(*(map(_fmt, c[start:start + 4096].tolist()) for c in columns)))
 
 
 def _trace_path(out: str | None) -> str:
@@ -184,7 +181,7 @@ def cmd_run(args) -> int:
         _write_summary(fh, config, metrics)
     if args.trace:
         with open(_trace_path(args.out), "w", newline="") as fh:
-            _write_trace(fh, config, metrics)
+            _write_trace(fh, metrics.trace)
     return 0
 
 

@@ -24,7 +24,7 @@ bit for bit and structural changes to one stream never shift the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,8 +116,9 @@ class ScenarioConfig:
             problems.append(str(exc))
         if not self.p_av > 0:
             problems.append(f"p_av must be positive, got {self.p_av!r}")
-        if not (isinstance(self.a_max, int) and self.a_max >= 1):
-            problems.append(f"a_max must be an integer >= 1, got {self.a_max!r}")
+        # Generator.binomial takes a_max as a C long
+        if not (isinstance(self.a_max, int) and 1 <= self.a_max <= np.iinfo(np.int64).max):
+            problems.append(f"a_max must be an integer in [1, 2**63 - 1], got {self.a_max!r}")
         elif not 0.0 < self.arrival_mean <= self.a_max:
             problems.append(
                 f"arrival_mean must lie in (0, a_max], got {self.arrival_mean!r}"
@@ -162,20 +163,33 @@ class ScenarioConfig:
 
 
 @dataclass
-class SlotTraceRecord:
-    slot: int
-    arrivals: np.ndarray
-    admissions: np.ndarray
-    user: int
-    power: float
-    data_fraction: float
-    codeword_rate: float
-    rate_cost: float
-    secrecy_rate: float
-    eavesdropper_capacity: float
-    outage: bool
-    queues: np.ndarray        # backlogs after this slot's update
-    power_queue: float        # virtual power queue after this slot's update
+class SlotTrace:
+    """Per-slot trace of one run, one array per trace CSV column stem.
+
+    Row t is slot t.  `arrival`, `admitted` and `queue` hold one column per
+    user; `queue` and `power_queue` are the levels after the slot's update.
+    """
+
+    slot: np.ndarray
+    arrival: np.ndarray
+    admitted: np.ndarray
+    user: np.ndarray
+    power: np.ndarray
+    data_fraction: np.ndarray
+    codeword_rate: np.ndarray
+    rate_cost: np.ndarray
+    secrecy_rate: np.ndarray
+    eavesdropper_capacity: np.ndarray
+    outage: np.ndarray
+    queue: np.ndarray
+    power_queue: np.ndarray
+
+    @classmethod
+    def empty(cls, n_slots: int, n_users: int) -> "SlotTrace":
+        """Columns for `n_slots` slots, which `run` fills chunk by chunk."""
+        per_user, dtype = ("arrival", "admitted", "queue"), dict(slot=int, user=int, outage=bool)
+        return cls(**{f.name: np.empty((n_slots, n_users) if f.name in per_user else n_slots,
+                                       dtype.get(f.name, float)) for f in fields(cls)})
 
 
 @dataclass
@@ -195,7 +209,7 @@ class RunMetrics:
     power_queue_final: float
     max_served_rate: float
     empirical_gamma: float
-    trace: list[SlotTraceRecord] | None = None
+    trace: SlotTrace | None = None
 
 
 def _check_queue_cap(backlog, queue_cap, slot: int):
@@ -321,7 +335,6 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
 
     streams = RngStreams(config.seed)
     power_levels = list(config.power_grid)
-    fractions = list(config.ratio_grid)
     p_av = config.p_av
     v_theta = [config.v * t for t in config.theta]
     queue_cap = [vt + config.a_max for vt in v_theta]
@@ -339,7 +352,7 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
     max_power_queue = 0.0
     max_served_rate = 0.0
     gamma = 0.0
-    trace: list[SlotTraceRecord] | None = [] if collect_trace else None
+    trace = SlotTrace.empty(config.n_slots, k) if collect_trace else None
 
     done = 0
     while done < config.n_slots:
@@ -355,9 +368,9 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
             gamma = max(gamma, chunk_gamma)
 
         # The sequential recursion, in Python floats; it records the chosen
-        # actions, and the audit below fills in their eavesdropper side.
-        users, p_idxs, f_idxs, slot_rates = [], [], [], []
-        first_record = len(trace) if trace is not None else 0
+        # actions, and the audit below computes their eavesdropper side.
+        chosen, slot_rates = [], []
+        admitted_rows, queue_rows, power_queue_rows = [], [], []
         for t, (arrived, cell_rate, cell_f, cell_earlier) in enumerate(zip(
                 arrivals.tolist(), best_rate.reshape(count, -1).tolist(),
                 best_f.reshape(count, -1).tolist(), earlier.reshape(count, -1).tolist())):
@@ -386,32 +399,15 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
                 max_power_queue = power_queue
             if peak > lowest_cap:
                 _check_queue_cap(backlog, queue_cap, slot)
-            users.append(user)
-            p_idxs.append(p_idx)
-            f_idxs.append(f_idx)
+            chosen.append((user, p_idx, f_idx))
             slot_rates.append(slot_rate)
             if trace is not None:
-                trace.append(SlotTraceRecord(
-                    slot=slot,
-                    arrivals=np.array(arrived),
-                    admissions=np.array(admitted),
-                    user=user,
-                    power=slot_power,
-                    data_fraction=fractions[f_idx],
-                    codeword_rate=0.0,
-                    rate_cost=0.0,
-                    secrecy_rate=slot_rate,
-                    eavesdropper_capacity=0.0,
-                    outage=False,
-                    queues=np.array(backlog),
-                    power_queue=power_queue,
-                ))
+                admitted_rows.append(admitted)
+                queue_rows.append(tuple(backlog))  # the next slot mutates backlog
+                power_queue_rows.append(power_queue)
 
         # Audit the chosen actions: whether an eavesdropper could have decoded.
-        slots = np.arange(count)
-        user = np.array(users)
-        p_idx = np.array(p_idxs)
-        f_idx = np.array(f_idxs)
+        user, p_idx, f_idx = np.array(chosen).T
         slot_rate = np.array(slot_rates)
         eve, cost = _eavesdropper_audit(legit, eves, cap_eves, regime, power, fraction,
                                         cost_table, user, p_idx, f_idx)
@@ -422,13 +418,20 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         served_slots += np.bincount(user[transmit], minlength=k)
         max_served_rate = max(max_served_rate, float(slot_rate.max()))
         if trace is not None:
-            audited = zip(trace[first_record:], cap_users[slots, user, p_idx, f_idx].tolist(),
-                          cost.tolist(), eve.tolist(), outage.tolist())
-            for rec, codeword_rate, rate_cost, eve_capacity, slot_outage in audited:
-                rec.codeword_rate = codeword_rate
-                rec.rate_cost = rate_cost
-                rec.eavesdropper_capacity = eve_capacity
-                rec.outage = slot_outage
+            rows = slice(done, done + count)
+            trace.slot[rows] = range(done, done + count)
+            trace.arrival[rows] = arrivals
+            trace.admitted[rows] = admitted_rows
+            trace.user[rows] = user
+            trace.power[rows] = power[p_idx]
+            trace.data_fraction[rows] = fraction[f_idx]
+            trace.codeword_rate[rows] = cap_users[np.arange(count), user, p_idx, f_idx]
+            trace.rate_cost[rows] = cost
+            trace.secrecy_rate[rows] = slot_rate
+            trace.eavesdropper_capacity[rows] = eve
+            trace.outage[rows] = outage
+            trace.queue[rows] = queue_rows
+            trace.power_queue[rows] = power_queue_rows
         done += count
         # Release this chunk's grids before the next chunk builds its own.
         del legit, eves, cap_users, cap_eves, rates

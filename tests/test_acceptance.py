@@ -183,7 +183,7 @@ def test_criterion_7_oracle_equivalences():
     streams = RngStreams(config.seed)
     backlog, power_queue = np.zeros(2), 0.0
     mismatches = 0
-    for rec in trace:
+    for t in range(config.n_slots):
         real = sample_realization(config, streams)
         best = None
         for user, p, f in itertools.product(
@@ -192,9 +192,9 @@ def test_criterion_7_oracle_equivalences():
             score = backlog[user] * res.secrecy_rate - power_queue * p
             if best is None or score > best[0]:
                 best = (score, user, p, f)
-        if (rec.user, rec.power, rec.data_fraction) != best[1:]:
+        if (trace.user[t], trace.power[t], trace.data_fraction[t]) != best[1:]:
             mismatches += 1
-        backlog, power_queue = rec.queues, rec.power_queue
+        backlog, power_queue = trace.queue[t], trace.power_queue[t]
 
     # (b) colluding log-det oracle against the rank-one closed form
     rng = RngStreams(8)

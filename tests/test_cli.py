@@ -1,5 +1,6 @@
 """Command-line interface: config handling, CSV output, exit codes."""
 import csv
+import dataclasses
 import json
 import math
 import shutil
@@ -9,6 +10,7 @@ import warnings
 
 import pytest
 
+from secsched import ScenarioConfig, SlotTrace, run
 from secsched.cli import main
 
 BASE = {
@@ -116,6 +118,32 @@ def test_run_trace(tmp_path):
         assert float(row[q0]) <= 130.0 and float(row[q1]) <= 130.0
         assert row[outage_col] in ("true", "false")
     assert [r[0] for r in data] == [str(i) for i in range(100)]
+    assert header == [
+        "slot", "arrival_0", "arrival_1", "admitted_0", "admitted_1", "user", "power",
+        "data_fraction", "codeword_rate", "rate_cost", "secrecy_rate",
+        "eavesdropper_capacity", "outage", "queue_0", "queue_1", "power_queue",
+    ]
+
+    # every column is the library trace's, value for value
+    doc = dict(BASE, n_slots=100)
+    expected = run(ScenarioConfig(**{k: (tuple(v) if isinstance(v, list) else v)
+                                     for k, v in doc.items()}), collect_trace=True).trace
+    columns = dict(zip(header, zip(*data)))
+    derived = []
+    for field in dataclasses.fields(SlotTrace):
+        values = getattr(expected, field.name)
+        if values.ndim == 1:
+            names, values = [field.name], [values]
+        else:
+            names = [f"{field.name}_{i}" for i in range(values.shape[1])]
+            values = list(values.T)
+        derived += names
+        for name, column in zip(names, values):
+            if field.name == "outage":
+                assert list(columns[name]) == ["true" if v else "false" for v in column]
+            else:
+                assert [float(v) for v in columns[name]] == column.tolist()
+    assert header == derived
 
 
 # --- config errors ---------------------------------------------------------------
@@ -202,6 +230,16 @@ def test_overflowing_power_grid_exits_one(tmp_path, capsys):
         assert main(["run", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "power_grid" in err and "Traceback" not in err
+
+
+def test_overflowing_arrival_cap_exits_one(tmp_path, capsys):
+    # arrivals are Binomial(a_max, .) draws, whose trial count is a C long
+    cfg = _write_config(tmp_path / "c.json", a_max=10**20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "a_max" in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -27,10 +27,10 @@ def _traced(**kw):
 
 
 def _states_before(config, trace):
-    """Backlogs and virtual power queue entering each traced slot."""
-    backlogs = [np.zeros(config.n_users)] + [r.queues for r in trace[:-1]]
-    power_queues = [0.0] + [r.power_queue for r in trace[:-1]]
-    return zip(backlogs, power_queues, trace)
+    """Backlogs (slots x users) and virtual power queue entering each traced slot."""
+    backlogs = np.vstack([np.zeros((1, config.n_users)), trace.queue[:-1]])
+    power_queues = np.concatenate([[0.0], trace.power_queue[:-1]])
+    return backlogs, power_queues
 
 
 # --- admission ----------------------------------------------------------------
@@ -39,8 +39,8 @@ def test_admit_thresholds_on_backlog():
     # with no transmit power the backlogs only fill, 30 per slot: 30, 60, 90;
     # 90 sits exactly on V*theta, which still admits, and 120 does not
     _, trace = _traced(power_grid=(0.0,), v=90.0, n_slots=5)
-    assert [r.admissions.tolist() for r in trace] == [[30.0, 30.0]] * 4 + [[0.0, 0.0]]
-    assert trace[-1].queues.tolist() == [120.0, 120.0]
+    assert trace.admitted.tolist() == [[30.0, 30.0]] * 4 + [[0.0, 0.0]]
+    assert trace.queue[-1].tolist() == [120.0, 120.0]
 
 
 def test_admit_is_the_linear_program_minimizer():
@@ -50,11 +50,12 @@ def test_admit_is_the_linear_program_minimizer():
     config, trace = _traced(n_users=3, theta=(0.5, 1.0, 2.0), v=20.0,
                             arrival_mean=12.0, n_slots=300, seed=3)
     v_theta = config.v * np.asarray(config.theta)
-    for backlog, _, rec in _states_before(config, trace):
+    backlogs, _ = _states_before(config, trace)
+    for backlog, arrived, admitted in zip(backlogs, trace.arrival, trace.admitted):
         coeff = backlog - v_theta
-        best = min(np.dot(coeff, np.where(mask, rec.arrivals, 0.0))
+        best = min(np.dot(coeff, np.where(mask, arrived, 0.0))
                    for mask in itertools.product([False, True], repeat=3))
-        assert np.dot(coeff, rec.admissions) <= best + 1e-12
+        assert np.dot(coeff, admitted) <= best + 1e-12
 
 
 # --- queue recursions -----------------------------------------------------------
@@ -62,22 +63,22 @@ def test_admit_is_the_linear_program_minimizer():
 def test_data_queue_update():
     # light traffic lets one slot's service exceed the backlog, which floors at 0
     config, trace = _traced(arrival_mean=1.0, n_slots=300, seed=5)
-    floored = 0
-    for backlog, _, rec in _states_before(config, trace):
-        served = np.zeros(config.n_users)
-        served[rec.user] = rec.secrecy_rate  # 0 on idle slots
-        assert np.array_equal(rec.queues, np.maximum(backlog - served, 0.0) + rec.admissions)
-        floored += rec.secrecy_rate > backlog[rec.user]
+    backlog, _ = _states_before(config, trace)
+    slot = np.arange(config.n_slots)
+    served = np.zeros_like(backlog)
+    served[slot, trace.user] = trace.secrecy_rate  # 0 on idle slots
+    assert np.array_equal(trace.queue, np.maximum(backlog - served, 0.0) + trace.admitted)
+    floored = np.count_nonzero(trace.secrecy_rate > backlog[slot, trace.user])
     assert floored > 0
 
 
 def test_power_queue_update():
     config, trace = _traced(n_slots=300, seed=5)
-    drained = above = 0
-    for _, power_queue, rec in _states_before(config, trace):
-        assert rec.power_queue == max(power_queue - config.p_av, 0.0) + rec.power
-        drained += power_queue < config.p_av
-        above += power_queue > config.p_av
+    _, power_queue = _states_before(config, trace)
+    assert np.array_equal(trace.power_queue,
+                          np.maximum(power_queue - config.p_av, 0.0) + trace.power)
+    drained = np.count_nonzero(power_queue < config.p_av)
+    above = np.count_nonzero(power_queue > config.p_av)
     assert drained > 0 and above > 0
 
 
@@ -121,30 +122,32 @@ def test_allocate_matches_brute_force(csi, colluding):
     config, trace = _traced(csi=csi, colluding=colluding, eta=eta,
                             ratio_grid=tuple(np.linspace(0.0, 1.0, 11)), n_slots=200, seed=1)
     streams = RngStreams(config.seed)
-    for t, (backlog, power_queue, rec) in enumerate(_states_before(config, trace)):
+    backlogs, power_queues = _states_before(config, trace)
+    for t in range(config.n_slots):
         real = sample_realization(config, streams)
         if t % 10:
             continue
-        score, user, p, f, res = _brute_force(real, backlog, power_queue, config)
-        assert (rec.user, rec.power, rec.data_fraction) == (user, p, f)
+        score, user, p, f, res = _brute_force(real, backlogs[t], power_queues[t], config)
+        assert (trace.user[t], trace.power[t], trace.data_fraction[t]) == (user, p, f)
         assert score >= 0.0
-        assert rec.secrecy_rate == pytest.approx(res.secrecy_rate, abs=1e-9)
-        assert rec.codeword_rate == pytest.approx(res.codeword_rate, abs=1e-9)
+        assert trace.secrecy_rate[t] == pytest.approx(res.secrecy_rate, abs=1e-9)
+        assert trace.codeword_rate[t] == pytest.approx(res.codeword_rate, abs=1e-9)
 
 
 def test_allocate_tie_breaks_to_first_action():
     # empty queues score every action 0: the first one, idling, is chosen
     _, trace = _traced(n_slots=1)
-    rec = trace[0]
-    assert (rec.user, rec.power, rec.data_fraction) == (0, 0.0, 0.0)
-    assert rec.secrecy_rate == 0.0 and not rec.outage
+    assert (trace.user[0], trace.power[0], trace.data_fraction[0]) == (0, 0.0, 0.0)
+    assert trace.secrecy_rate[0] == 0.0 and not trace.outage[0]
 
 
 def test_allocate_objective_never_negative():
     config, trace = _traced(colluding=True, power_grid=(0.0, 50.0, 300.0),
                             ratio_grid=(0.0, 0.25, 0.75), n_slots=500, seed=2)
-    for backlog, power_queue, rec in _states_before(config, trace):
-        assert backlog[rec.user] * rec.secrecy_rate - power_queue * rec.power >= 0.0
+    backlog, power_queue = _states_before(config, trace)
+    score = (backlog[np.arange(config.n_slots), trace.user] * trace.secrecy_rate
+             - power_queue * trace.power)
+    assert np.all(score >= 0.0)
 
 
 def test_allocate_grid_requirements():

@@ -5,16 +5,19 @@ on regenerated channels and arrivals, with the queue recursions written out,
 and demands bit-identical decisions and queue trajectories.
 """
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secsched import (
     ConfigError,
     RngStreams,
     RunMetrics,
     ScenarioConfig,
-    SlotTraceRecord,
+    SlotTrace,
     run,
     sample_arrivals,
     sample_realization_batch,
@@ -79,6 +82,10 @@ def test_validate_rejects_overflowing_scores():
     with pytest.raises(ConfigError, match="backlog cap"):
         ScenarioConfig(v=1e302, n_slots=10**7).validate()  # the summed backlogs
     ScenarioConfig(power_grid=(0.0, 1e150)).validate()
+    # Generator.binomial takes the arrival cap as a C long
+    with pytest.raises(ConfigError, match="a_max"):
+        ScenarioConfig(a_max=2**63).validate()
+    ScenarioConfig(a_max=2**63 - 1).validate()
     ScenarioConfig(csi="partial", eta=0.1, colluding=True).validate()
 
 
@@ -124,10 +131,8 @@ def test_run_is_deterministic():
     assert np.array_equal(a.avg_queue, b.avg_queue)
     assert a.avg_power == b.avg_power
     assert a.max_queue == b.max_queue
-    for ra, rb in zip(a.trace, b.trace):
-        assert (ra.user, ra.power, ra.data_fraction) == (rb.user, rb.power, rb.data_fraction)
-        assert ra.secrecy_rate == rb.secrecy_rate
-        assert np.array_equal(ra.queues, rb.queues)
+    for name in ("user", "power", "data_fraction", "secrecy_rate", "queue"):
+        assert np.array_equal(getattr(a.trace, name), getattr(b.trace, name))
 
 
 def test_different_seeds_give_different_runs():
@@ -140,8 +145,7 @@ def test_substream_isolation_across_structure_changes():
     # adding eavesdroppers must not disturb arrivals or legitimate fading
     a = run(_small(seed=11, n_eves=3), collect_trace=True)
     b = run(_small(seed=11, n_eves=4), collect_trace=True)
-    for ra, rb in zip(a.trace, b.trace):
-        assert np.array_equal(ra.arrivals, rb.arrivals)
+    assert np.array_equal(a.trace.arrival, b.trace.arrival)
 
 
 def test_queue_cap_holds():
@@ -200,13 +204,13 @@ def test_starved_run_never_transmits():
 
 def test_metrics_bookkeeping():
     m = run(_small(n_slots=500), collect_trace=True)
-    assert m.n_slots == 500 and len(m.trace) == 500
+    assert m.n_slots == 500 and len(m.trace.slot) == 500
     assert m.n_transmit_slots == int(m.slots_served.sum())
-    assert m.avg_power * 500 == pytest.approx(sum(r.power for r in m.trace))
-    assert m.max_queue == pytest.approx(max(r.queues.max() for r in m.trace))
-    assert m.max_power_queue == pytest.approx(max(r.power_queue for r in m.trace))
-    assert m.power_queue_final == m.trace[-1].power_queue
-    admitted = np.sum([r.admissions for r in m.trace], axis=0)
+    assert m.avg_power * 500 == pytest.approx(m.trace.power.sum())
+    assert m.max_queue == pytest.approx(m.trace.queue.max())
+    assert m.max_power_queue == pytest.approx(m.trace.power_queue.max())
+    assert m.power_queue_final == m.trace.power_queue[-1]
+    admitted = m.trace.admitted.sum(axis=0)
     assert np.allclose(m.admission_rate, admitted / 500)
     assert m.weighted_admission_rate == pytest.approx(float(m.admission_rate.sum()))
 
@@ -230,20 +234,17 @@ def test_traced_run_replays_through_batched_kernels(csi, colluding, overrides):
     power = np.asarray(config.power_grid)
     fraction = np.asarray(config.ratio_grid)
 
-    def column(name):
-        return np.array([getattr(rec, name) for rec in trace])
-
     streams = RngStreams(config.seed)
     legit, eves = sample_realization_batch(config, streams, t_all)
     arrivals = sample_arrivals(config, streams.arrivals, t_all)
-    assert np.array_equal(column("arrivals"), arrivals)
+    assert np.array_equal(trace.arrival, arrivals)
 
     # queue recursions written out, entering each slot from the previous row
-    queues, power_queue = column("queues"), column("power_queue")
+    queues, power_queue = trace.queue, trace.power_queue
     backlog = np.vstack([np.zeros((1, k)), queues[:-1]])
     virtual = np.concatenate([[0.0], power_queue[:-1]])
     admitted = np.where(backlog <= config.v * np.asarray(config.theta), arrivals, 0.0)
-    assert np.array_equal(column("admissions"), admitted)
+    assert np.array_equal(trace.admitted, admitted)
 
     # the chosen action is the first argmax of U * r - X * P
     cost_table = None
@@ -256,12 +257,12 @@ def test_traced_run_replays_through_batched_kernels(csi, colluding, overrides):
     flat = np.argmax(score.reshape(t_all, -1), axis=1)
     user, p_idx, f_idx = np.unravel_index(flat, score.shape[1:])
     slot = np.arange(t_all)
-    assert np.array_equal(column("user"), user)
-    assert np.array_equal(column("power"), power[p_idx])
-    assert np.array_equal(column("data_fraction"), fraction[f_idx])
+    assert np.array_equal(trace.user, user)
+    assert np.array_equal(trace.power, power[p_idx])
+    assert np.array_equal(trace.data_fraction, fraction[f_idx])
     rate = rates[slot, user, p_idx, f_idx]
-    assert np.array_equal(column("secrecy_rate"), rate)
-    assert np.array_equal(column("codeword_rate"), cap_users[slot, user, p_idx, f_idx])
+    assert np.array_equal(trace.secrecy_rate, rate)
+    assert np.array_equal(trace.codeword_rate, cap_users[slot, user, p_idx, f_idx])
 
     served = np.zeros((t_all, k))
     served[slot, user] = rate
@@ -272,9 +273,9 @@ def test_traced_run_replays_through_batched_kernels(csi, colluding, overrides):
     # instantaneous CSI, the pre-inverted table entry under partial CSI
     eve = cap_eves[slot, user, p_idx, f_idx]
     cost = eve if csi == "instantaneous" else cost_table[f_idx]
-    assert np.array_equal(column("eavesdropper_capacity"), eve)
-    assert np.array_equal(column("rate_cost"), cost)
-    assert np.array_equal(column("outage"), (rate > 0.0) & (eve > cost))
+    assert np.array_equal(trace.eavesdropper_capacity, eve)
+    assert np.array_equal(trace.rate_cost, cost)
+    assert np.array_equal(trace.outage, (rate > 0.0) & (eve > cost))
 
 
 # --- the per-slot action choice -------------------------------------------------
@@ -339,10 +340,21 @@ def _assert_same_run(a: RunMetrics, b: RunMetrics):
     for f in dataclasses.fields(RunMetrics):
         if f.name != "trace":
             np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
-    assert len(a.trace) == len(b.trace)
-    for ra, rb in zip(a.trace, b.trace):
-        for f in dataclasses.fields(SlotTraceRecord):
-            np.testing.assert_array_equal(getattr(ra, f.name), getattr(rb, f.name))
+    assert (a.trace is None) == (b.trace is None)
+    if a.trace is not None:
+        for f in dataclasses.fields(SlotTrace):
+            np.testing.assert_array_equal(getattr(a.trace, f.name), getattr(b.trace, f.name))
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(n_slots=300, seed=12),
+    ScenarioConfig(colluding=True, n_slots=300, seed=12),
+    ScenarioConfig(csi="partial", eta=0.1, colluding=True, n_slots=300, seed=12),
+], ids=["instantaneous-noncolluding", "instantaneous-colluding", "partial-colluding"])
+def test_collecting_a_trace_changes_no_result(config):
+    traced = run(config, collect_trace=True)
+    assert len(traced.trace.slot) == config.n_slots
+    _assert_same_run(run(config), dataclasses.replace(traced, trace=None))
 
 
 @pytest.mark.parametrize("config", [
@@ -354,6 +366,34 @@ def test_results_do_not_depend_on_chunk_size(config, monkeypatch):
     for chunk in (1, 7, 4096):
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
         runs.append(run(config, collect_trace=True))
+    for other in runs[1:]:
+        _assert_same_run(runs[0], other)
+
+
+_REGIMES = [("instantaneous", False, 0.0), ("instantaneous", True, 0.0),
+            ("partial", False, 0.3), ("partial", True, 0.3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_users=st.integers(1, 3),
+    regime=st.sampled_from(_REGIMES),
+    power_grid=st.sampled_from([(0.0,), (0.0, 300.0), (0.0, 100.0, 200.0, 300.0)]),
+    ratio_grid=st.sampled_from([(0.0,), (0.5,), (1.0,), (0.0, 0.5, 1.0)]),
+    arrival_mean=st.sampled_from([1.0, 15.0, 30.0]),
+    n_slots=st.integers(1, 20),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_chunk_boundaries_change_no_result(n_users, regime, power_grid, ratio_grid,
+                                           arrival_mean, n_slots, seed):
+    csi, colluding, eta = regime
+    config = ScenarioConfig(n_users=n_users, csi=csi, colluding=colluding, eta=eta,
+                            power_grid=power_grid, ratio_grid=ratio_grid,
+                            arrival_mean=arrival_mean, n_slots=n_slots, seed=seed)
+    runs = []
+    for chunk in (1, 3, 4096):
+        with mock.patch.object(simulator, "_CHUNK", chunk):
+            runs.append(run(config, collect_trace=True))
     for other in runs[1:]:
         _assert_same_run(runs[0], other)
 
