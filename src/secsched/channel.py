@@ -62,7 +62,6 @@ class ChannelRealization:
 
     legit: np.ndarray  # (n_users, n_antennas) complex
     eves: np.ndarray   # (n_eves, n_antennas) complex
-    noise_variance: float = 1.0
 
     def __post_init__(self):
         self.legit = np.asarray(self.legit, dtype=complex)
@@ -71,8 +70,6 @@ class ChannelRealization:
             raise ValueError("channel matrices must be 2-d (rows = receivers)")
         if self.legit.shape[1] != self.eves.shape[1]:
             raise ValueError("user and eavesdropper rows disagree on antenna count")
-        if self.noise_variance != 1.0:
-            raise ValueError("receiver noise is normalized to unit variance")
 
     @property
     def n_users(self) -> int:
@@ -123,7 +120,9 @@ def beamforming_bases(channels: np.ndarray):
     Returns (beam, null_basis, source_gain) with shapes (..., n), (..., n, n-1)
     and (...,).  The completion uses a single Householder reflector mapping the
     first coordinate axis onto the beam direction; the reflector's remaining
-    columns are the noise subspace.
+    columns are the noise subspace.  It serves the scalar oracle path: the
+    batched kernels (`secrecy.channel_stats`) use the projector
+    I - beam beam^H instead of a basis.
     """
     channels = np.asarray(channels, dtype=complex)
     n = channels.shape[-1]

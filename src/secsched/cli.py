@@ -15,6 +15,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -90,9 +91,25 @@ def scenario_from_doc(doc: dict, source: str = "config") -> ScenarioConfig:
 
 
 def _load_json(path: str):
+    """Parse a JSON document; NaN, Infinity and numbers beyond the double range
+    fail closed."""
+    def non_finite(literal):
+        raise ConfigError(f"{path}: {literal} is not a finite number")
+
+    def finite(literal, parse=float):
+        value = parse(literal)
+        try:
+            ok = math.isfinite(value)
+        except OverflowError:  # an integer too large for a double
+            ok = False
+        if not ok:
+            non_finite(literal)
+        return value
+
     text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=non_finite, parse_float=finite,
+                          parse_int=lambda literal: finite(literal, int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 

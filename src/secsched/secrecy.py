@@ -25,7 +25,6 @@ from .channel import (
     BeamformingBasis,
     ChannelRealization,
     RngStreams,
-    beamforming_bases,
     beamforming_basis,
     sample_complex_gaussian,
 )
@@ -327,9 +326,20 @@ def rate_cost_table(ratio_grid, regime: SecrecyRegime, n_antennas: int, n_eves: 
 class ChannelStats:
     """Everything the capacity formulas need, per (slot, user), batched.
 
+    With the unit beam b = conj(h) / ||h|| of a user's channel row h, an
+    eavesdropper row g leaks `beam_leak` = |g.b|^2 into the data beam and
+    `null_leak` = ||g||^2 - |g.b|^2 into the artificial-noise subspace, the
+    projector complement of the beam (Goel & Negi, IEEE TWC 2008; Zhou &
+    McKay, IEEE TVT 2010).  No basis of that subspace is built.
     `noise_eigvals`/`beam_weights` diagonalize the colluding eavesdroppers'
-    artificial-noise Gram matrix so the joint capacity becomes a scalar sum
+    artificial-noise Gram matrix G G^H - u u^H, with G the matrix of
+    eavesdropper rows and u = G b, so the joint capacity becomes a scalar sum
     for every power split, instead of one linear solve per grid point.
+
+    The subtraction cancels when g lies almost along conj(b): its absolute
+    error is at most 4 n eps ||g||^2 (eps = 2^-52), so the relative error of
+    `null_leak` is at most 4 n eps ||g||^2 / null_leak.  A result that
+    rounds below zero is clamped to 0.
     """
 
     legit_gain: np.ndarray            # (..., K)
@@ -340,28 +350,55 @@ class ChannelStats:
     n_antennas: int
 
 
+def _beam_components(legit: np.ndarray, eves: np.ndarray):
+    """Users' squared channel norms and u = g.b for every (user, eavesdropper) pair.
+
+    legit: (..., K, n); eves: (..., n_eves, n).  Returns shapes (..., K) and
+    (..., K, n_eves).
+    """
+    n = legit.shape[-1]
+    if n < 2:
+        raise ValueError(f"need at least 2 antennas, got {n}")
+    if eves.shape[-1] != n:
+        raise ValueError("user and eavesdropper rows disagree on antenna count")
+    gain = np.sum(legit.real**2 + legit.imag**2, axis=-1)
+    if np.any(gain == 0.0):
+        raise DegenerateChannelError("zero channel vector has no beam direction")
+    beam = np.conj(legit) / np.sqrt(gain)[..., None]
+    return gain, np.einsum("...en,...kn->...ke", eves, beam)
+
+
+def _noise_gram(eves: np.ndarray, beam_comp: np.ndarray) -> np.ndarray:
+    """Artificial-noise Gram matrix G (I - b b^H) G^H = G G^H - u u^H per user.
+
+    eves: (..., n_eves, n); beam_comp: (..., K, n_eves) from `_beam_components`.
+    Returns (..., K, n_eves, n_eves).
+    """
+    full = np.einsum("...en,...fn->...ef", eves, np.conj(eves))
+    return full[..., None, :, :] - beam_comp[..., :, None] * np.conj(beam_comp[..., None, :])
+
+
 def channel_stats(legit: np.ndarray, eves: np.ndarray, colluding: bool) -> ChannelStats:
-    """Reduce raw channel draws to capacity sufficient statistics.
+    """Reduce raw channel draws to capacity sufficient statistics, in projector form.
 
     legit: (..., n_users, n_antennas); eves: (..., n_eves, n_antennas).
-    Leading dimensions are carried through unchanged.
+    Leading dimensions are carried through unchanged.  `ChannelStats`
+    bounds the cancellation error of `null_leak`; each colluding Gram entry
+    carries an absolute error of the same order, so an eigenvalue far below
+    ||g||^2 is correspondingly less accurate in relative terms.
     """
     legit = np.asarray(legit, dtype=complex)
     eves = np.asarray(eves, dtype=complex)
     n = legit.shape[-1]
-    if eves.shape[-1] != n:
-        raise ValueError("user and eavesdropper rows disagree on antenna count")
     if colluding and eves.shape[-2] >= n:
         raise ConfigError("colluding analysis needs fewer eavesdroppers than transmit antennas")
-    beam, null_basis, gain = beamforming_bases(legit)
-    beam_comp = np.einsum("...en,...kn->...ke", eves, beam)
+    gain, beam_comp = _beam_components(legit, eves)
     beam_leak = beam_comp.real**2 + beam_comp.imag**2
-    null_comp = np.einsum("...en,...knm->...kem", eves, null_basis)
-    null_leak = np.sum(null_comp.real**2 + null_comp.imag**2, axis=-1)
+    eve_norm = np.sum(eves.real**2 + eves.imag**2, axis=-1)
+    null_leak = np.maximum(eve_norm[..., None, :] - beam_leak, 0.0)
     noise_eigvals = beam_weights = None
     if colluding:
-        gram = np.einsum("...kem,...kfm->...kef", null_comp, np.conj(null_comp))
-        noise_eigvals, vecs = np.linalg.eigh(gram)
+        noise_eigvals, vecs = np.linalg.eigh(_noise_gram(eves, beam_comp))
         rotated = np.einsum("...kfe,...kf->...ke", np.conj(vecs), beam_comp)
         beam_weights = rotated.real**2 + rotated.imag**2
     return ChannelStats(
@@ -374,16 +411,18 @@ def channel_stats(legit: np.ndarray, eves: np.ndarray, colluding: bool) -> Chann
     )
 
 
-def legit_capacity_grid(legit_gain: np.ndarray, power_grid, ratio_grid) -> np.ndarray:
+def legit_capacity_grid(legit_gain: np.ndarray, power_grid, ratio_grid,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Intended receivers' rates for every (power, data fraction) pair.
 
     Needs only the squared channel norms, since artificial noise is invisible
-    to the intended receiver.  Shape legit_gain.shape + (n_powers, n_fractions).
+    to the intended receiver.  Shape legit_gain.shape + (n_powers, n_fractions),
+    written to `out` when given.
     """
     power = np.asarray(power_grid, dtype=float)
     fraction = np.asarray(ratio_grid, dtype=float)
     data_power = power[:, None] * fraction[None, :]
-    return np.log2(1.0 + data_power * legit_gain[..., None, None])
+    return np.log2(1.0 + data_power * legit_gain[..., None, None], out=out)
 
 
 def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.ndarray):
@@ -391,26 +430,50 @@ def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.n
 
     Returns (legit, eve) arrays of shape stats.legit_gain.shape + (n_powers,
     n_fractions).  The eve array is the realized eavesdropping capacity of
-    the configured collusion behavior, thermal noise included.
+    the configured collusion behavior, thermal noise included.  Leading zero
+    powers (a sorted grid's idle action) are not computed: both of their
+    rates are log2(1 + 0 * x) = 0 exactly.
     """
     power = np.asarray(power_grid, dtype=float)
     fraction = np.asarray(ratio_grid, dtype=float)
+    shape = stats.legit_gain.shape + (len(power), len(fraction))
+    cap_users, cap_eves = np.empty(shape), np.empty(shape)
+    idle = len(power) - len(np.trim_zeros(power, "f"))
+    cap_users[..., :idle, :] = 0.0
+    cap_eves[..., :idle, :] = 0.0
+    power = power[idle:]
     data_power = power[:, None] * fraction[None, :]
     noise_power = power[:, None] * (1.0 - fraction[None, :]) / (stats.n_antennas - 1)
-    cap_users = legit_capacity_grid(stats.legit_gain, power, fraction)
+    legit_capacity_grid(stats.legit_gain, power, fraction, out=cap_users[..., idle:, :])
     if stats.noise_eigvals is None:
         ratio = stats.beam_leak[..., None, None] * data_power / (
             stats.null_leak[..., None, None] * noise_power + 1.0
         )
-        cap_eves = np.log2(1.0 + np.max(ratio, axis=-3))
+        np.log2(1.0 + np.max(ratio, axis=-3), out=cap_eves[..., idle:, :])
     else:
         quad = np.sum(
             stats.beam_weights[..., None, None]
             / (noise_power * stats.noise_eigvals[..., None, None] + 1.0),
             axis=-3,
         )
-        cap_eves = np.log2(1.0 + data_power * quad)
+        np.log2(1.0 + data_power * quad, out=cap_eves[..., idle:, :])
     return cap_users, cap_eves
+
+
+def eve_capacity(stats: ChannelStats, power: np.ndarray, fraction: np.ndarray) -> np.ndarray:
+    """Eavesdropper capacity at one (power, data fraction) pair per (..., K) entry.
+
+    `power` and `fraction` broadcast against stats.legit_gain.shape.  The
+    expressions, and their order, are those of `capacity_grids`' eve grid,
+    so each value equals the grid entry of its pair.
+    """
+    data_power = (power * fraction)[..., None]
+    noise_power = (power * (1.0 - fraction) / (stats.n_antennas - 1))[..., None]
+    if stats.noise_eigvals is None:
+        ratio = stats.beam_leak * data_power / (stats.null_leak * noise_power + 1.0)
+        return np.log2(1.0 + np.max(ratio, axis=-1))
+    quad = np.sum(stats.beam_weights / (noise_power * stats.noise_eigvals + 1.0), axis=-1)
+    return np.log2(1.0 + data_power[..., 0] * quad)
 
 
 def secrecy_rate_grid(cap_users: np.ndarray, cap_eves: np.ndarray,
@@ -447,6 +510,29 @@ def secrecy_rate(realization: ChannelRealization, user: int,
 
 
 # --- Monte-Carlo calibration of the outage design ---------------------------
+
+def noise_free_bound(legit: np.ndarray, eves: np.ndarray, data_fraction: float,
+                     colluding: bool) -> np.ndarray:
+    """Eavesdroppers' capacity upper bound with thermal noise dropped, batched.
+
+    legit: (..., K, n); eves: (..., n_eves, n); returns (..., K).  The
+    batched form of `cap_eve_upper_noncolluding` (strongest eavesdropper) and
+    `cap_eves_upper_colluding`, whose quadratic form u^H Gram^-1 u is one
+    n_eves x n_eves solve per user, with u = G b and the artificial-noise
+    Gram matrix G G^H - u u^H.
+    """
+    legit = np.asarray(legit, dtype=complex)
+    eves = np.asarray(eves, dtype=complex)
+    m = legit.shape[-1] - 1
+    if colluding:
+        _, beam_comp = _beam_components(legit, eves)
+        sol = np.linalg.solve(_noise_gram(eves, beam_comp), beam_comp[..., None])[..., 0]
+        quad = np.sum((np.conj(beam_comp) * sol).real, axis=-1)
+        return np.log2(1.0 + m * data_fraction / (1.0 - data_fraction) * quad)
+    stats = channel_stats(legit, eves, colluding)
+    per_eve = stats.beam_leak * m * data_fraction / (stats.null_leak * (1.0 - data_fraction))
+    return np.log2(1.0 + np.max(per_eve, axis=-1))
+
 
 @dataclass(frozen=True)
 class OutageCalibrationRow:
@@ -493,15 +579,7 @@ def calibrate_outage(n_antennas: int, n_eves: int, eta: float, colluding: bool,
             count = min(chunk, remaining)
             legit = sample_complex_gaussian((count, 1, n_antennas), streams.legit)
             eves = sample_complex_gaussian((count, n_eves, n_antennas), streams.eves)
-            stats = channel_stats(legit, eves, colluding)
-            if colluding:
-                quad = np.sum(stats.beam_weights[:, 0, :] / stats.noise_eigvals[:, 0, :], axis=-1)
-                bound = np.log2(1.0 + (n_antennas - 1) * eps / (1.0 - eps) * quad)
-            else:
-                per_eve = stats.beam_leak[:, 0, :] * (n_antennas - 1) * eps / (
-                    stats.null_leak[:, 0, :] * (1.0 - eps)
-                )
-                bound = np.log2(1.0 + np.max(per_eve, axis=-1))
+            bound = noise_free_bound(legit, eves, eps, colluding)[:, 0]
             exceed += int(np.count_nonzero(bound > cost))
             remaining -= count
         estimate = exceed / samples

@@ -4,8 +4,10 @@ Per slot: draw block fading for everyone, draw packet arrivals, threshold
 admissions, serve the (user, power, data-fraction) action that maximizes the
 backlog-weighted secrecy rate minus the power price, audit whether an
 eavesdropper could have decoded the slot, update the queues.  `run` is the
-only implementation of this drift-plus-penalty controller.  It works on
-chunks of slots in three steps:
+only implementation of this drift-plus-penalty controller (M. J. Neely,
+"Stochastic Network Optimization with Application to Communication and
+Queueing Systems", Morgan & Claypool, 2010).  It works on chunks of slots in
+three steps:
 
 * batched: channels, capacity and secrecy-rate grids, then the best data
   fraction of every (slot, user, power) cell, which does not depend on the
@@ -15,7 +17,7 @@ chunks of slots in three steps:
 * batched again: the audit of the chosen actions, the eavesdropper
   capacity, rate cost and outage of each slot.  Under partial CSI the rates
   never read the eavesdroppers, so only this audit computes their statistics,
-  for the served user alone.
+  for the served user and the chosen (power, fraction) alone.
 
 Randomness comes from three named substreams of the run seed (legitimate
 channels, eavesdropper channels, arrivals), so the same seed reproduces a run
@@ -37,6 +39,7 @@ from .secrecy import (
     SecrecyRegime,
     capacity_grids,
     channel_stats,
+    eve_capacity,
     legit_capacity_grid,
     rate_cost_table,
     secrecy_rate_grid,
@@ -102,10 +105,10 @@ class ScenarioConfig:
             self.regime  # SecrecyRegime holds the csi/eta rule
         except ConfigError as exc:
             problems.append(str(exc))
-        if not self.v > 0:
-            problems.append(f"v must be positive, got {self.v!r}")
-        if len(self.theta) != self.n_users or any(t <= 0 for t in self.theta):
-            problems.append("theta needs one positive entry per user")
+        if not 0 < self.v < math.inf:
+            problems.append(f"v must be positive and finite, got {self.v!r}")
+        if len(self.theta) != self.n_users or not all(0 < t < math.inf for t in self.theta):
+            problems.append(f"theta needs one positive, finite entry per user, got {self.theta!r}")
         try:
             ascending_grid(self.power_grid, "power_grid", require_zero=True)
         except ConfigError as exc:
@@ -114,8 +117,8 @@ class ScenarioConfig:
             ascending_grid(self.ratio_grid, "ratio_grid", unit_interval=True)
         except ConfigError as exc:
             problems.append(str(exc))
-        if not self.p_av > 0:
-            problems.append(f"p_av must be positive, got {self.p_av!r}")
+        if not 0 < self.p_av < math.inf:
+            problems.append(f"p_av must be positive and finite, got {self.p_av!r}")
         # Generator.binomial takes a_max as a C long
         if not (isinstance(self.a_max, int) and 1 <= self.a_max <= np.iinfo(np.int64).max):
             problems.append(f"a_max must be an integer in [1, 2**63 - 1], got {self.a_max!r}")
@@ -237,8 +240,8 @@ def _rate_grids(legit, eves, regime: SecrecyRegime, power, fraction, cost_table)
     """Codeword-rate, eavesdropper-capacity and secrecy-rate grids of one chunk.
 
     Under partial CSI the secrecy rates read only the users' gains ||h||^2
-    (the expression of `beamforming_bases`), so no eavesdropper statistics
-    are computed and the eavesdropper grid is None.
+    (the expression of `channel_stats`), so no eavesdropper statistics are
+    computed and the eavesdropper grid is None.
     """
     if regime.csi == PARTIAL:
         gain = np.sum(legit.real**2 + legit.imag**2, axis=-1)
@@ -255,8 +258,9 @@ def _eavesdropper_audit(legit, eves, cap_eves, regime: SecrecyRegime, power, fra
 
     Instantaneous CSI gathers both from the full grid.  Under partial CSI the
     cost is the pre-inverted table entry of the chosen fraction, and the
-    capacity is computed here from the served user's channel row alone, for
-    the slots that transmit: a zero-power action leaks log2(1 + 0) = 0.
+    capacity is computed here at the chosen (power, fraction) alone, from the
+    served user's channel row, for the slots that transmit: a zero-power
+    action leaks log2(1 + 0) = 0.
     """
     if regime.csi == INSTANTANEOUS:
         eve = cap_eves[np.arange(len(user)), user, p_idx, f_idx]
@@ -264,8 +268,7 @@ def _eavesdropper_audit(legit, eves, cap_eves, regime: SecrecyRegime, power, fra
     sent = np.flatnonzero(power[p_idx] > 0.0)
     stats = channel_stats(legit[sent, user[sent]][:, None, :], eves[sent], regime.colluding)
     eve = np.zeros(len(user))
-    eve[sent] = capacity_grids(stats, power, fraction)[1][
-        np.arange(len(sent)), 0, p_idx[sent], f_idx[sent]]
+    eve[sent] = eve_capacity(stats, power[p_idx[sent], None], fraction[f_idx[sent], None])[:, 0]
     return eve, cost_table[f_idx]
 
 

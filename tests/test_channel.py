@@ -149,6 +149,3 @@ def test_realization_validation():
         ChannelRealization(legit=np.ones((2, 4)), eves=np.ones((3, 5)))
     with pytest.raises(ValueError):
         ChannelRealization(legit=np.ones(4), eves=np.ones((3, 4)))
-    with pytest.raises(ValueError):
-        ChannelRealization(legit=np.ones((2, 4)), eves=np.ones((3, 4)),
-                           noise_variance=2.0)

@@ -242,6 +242,22 @@ def test_overflowing_arrival_cap_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "a_max" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,literal", [
+    ("theta", "[1.0, NaN]"), ("theta", "[NaN, 1.0]"), ("p_av", "Infinity"),
+    ("v", "-Infinity"), ("arrival_mean", "1e400"), ("v", "1" + "0" * 400),
+    ("n_slots", "1" + "0" * 400),
+])
+def test_non_finite_numbers_exit_one(tmp_path, capsys, key, literal):
+    # json accepts NaN and Infinity literals, reads 1e400 as inf and keeps
+    # 10**400 as an int no double holds; a config must not reach the run
+    # with any of them
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(BASE, **{key: "@"})).replace('"@"', literal))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["run"]) == 1  # --config is required

@@ -35,7 +35,7 @@ def _states_before(config, trace):
 
 # --- admission ----------------------------------------------------------------
 
-def test_admit_thresholds_on_backlog():
+def test_admission_thresholds_on_backlog():
     # with no transmit power the backlogs only fill, 30 per slot: 30, 60, 90;
     # 90 sits exactly on V*theta, which still admits, and 120 does not
     _, trace = _traced(power_grid=(0.0,), v=90.0, n_slots=5)
@@ -43,7 +43,7 @@ def test_admit_thresholds_on_backlog():
     assert trace.queue[-1].tolist() == [120.0, 120.0]
 
 
-def test_admit_is_the_linear_program_minimizer():
+def test_admission_is_the_linear_program_minimizer():
     # the admission step claims to minimize sum (U_i - V theta_i) R_i over the
     # box [0, A_i]; a linear objective is minimized at a vertex, so enumerate
     # all of them and compare
@@ -134,14 +134,14 @@ def test_allocate_matches_brute_force(csi, colluding):
         assert trace.codeword_rate[t] == pytest.approx(res.codeword_rate, abs=1e-9)
 
 
-def test_allocate_tie_breaks_to_first_action():
+def test_action_ties_break_to_first_action():
     # empty queues score every action 0: the first one, idling, is chosen
     _, trace = _traced(n_slots=1)
     assert (trace.user[0], trace.power[0], trace.data_fraction[0]) == (0, 0.0, 0.0)
     assert trace.secrecy_rate[0] == 0.0 and not trace.outage[0]
 
 
-def test_allocate_objective_never_negative():
+def test_chosen_objective_never_negative():
     config, trace = _traced(colluding=True, power_grid=(0.0, 50.0, 300.0),
                             ratio_grid=(0.0, 0.25, 0.75), n_slots=500, seed=2)
     backlog, power_queue = _states_before(config, trace)
@@ -150,7 +150,7 @@ def test_allocate_objective_never_negative():
     assert np.all(score >= 0.0)
 
 
-def test_allocate_grid_requirements():
+def test_run_validates_its_grids():
     with pytest.raises(ConfigError):
         run(ScenarioConfig(power_grid=(100.0, 200.0), n_slots=10))  # no idle power
     with pytest.raises(ConfigError):

@@ -4,9 +4,12 @@ Closed forms are pinned to hand-computed values and cross-checked against
 independent numerical paths (log-det oracle, projector identity, bisection).
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secsched import (
     ConfigError,
@@ -32,7 +35,13 @@ from secsched import (
     secrecy_rate,
 )
 from secsched.channel import ChannelRealization
-from secsched.secrecy import capacity_grids, channel_stats, secrecy_rate_grid
+from secsched.secrecy import (
+    capacity_grids,
+    channel_stats,
+    eve_capacity,
+    noise_free_bound,
+    secrecy_rate_grid,
+)
 
 
 def _draw(seed, n_users=2, n_eves=3, n=6):
@@ -347,6 +356,96 @@ def test_grid_kernel_matches_scalar_path(csi, colluding):
                 ref = secrecy_rate(real, k, TransmitParams(float(p), float(f), 6), regime)
                 assert rates[k, i, j] == pytest.approx(ref.secrecy_rate, abs=1e-12)
                 assert cap_users[k, i, j] == pytest.approx(ref.codeword_rate, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 16), colluding=st.booleans(), n_eves=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_projector_kernels_match_the_householder_oracle(n, colluding, n_eves, seed):
+    # the batched projector-form statistics against the scalar path, which
+    # builds the Householder null basis; collusion uses every spare antenna
+    n_eves = n - 1 if colluding else n_eves
+    s = RngStreams(seed)
+    legit = sample_complex_gaussian((3, 2, n), s.legit)
+    eves = sample_complex_gaussian((3, n_eves, n), s.eves)
+    power = np.array([0.0, 1.0, 50.0, 300.0])
+    fraction = np.linspace(0.0, 1.0, 11)
+    cap_users, cap_eves = capacity_grids(channel_stats(legit, eves, colluding), power, fraction)
+    assert np.all(cap_users[..., 0, :] == 0.0) and np.all(cap_eves[..., 0, :] == 0.0)
+    bounds = {f: noise_free_bound(legit, eves, f, colluding) for f in (0.1, 0.5, 0.9)}
+    for t in range(3):
+        for k in range(2):
+            basis = beamforming_basis(legit[t, k])
+            for f, bound in bounds.items():
+                if colluding:
+                    ref = cap_eves_upper_colluding(eves[t], basis, f)
+                else:
+                    ref = max(cap_eve_upper_noncolluding(g, basis, f) for g in eves[t])
+                assert bound[t, k] == pytest.approx(ref, abs=1e-9)
+            for i, p in enumerate(power):
+                for j, f in enumerate(fraction):
+                    tp = TransmitParams(float(p), float(f), n)
+                    if colluding:
+                        ref = cap_eves_colluding(eves[t], basis, tp)
+                    else:
+                        ref = max(cap_eve_noncolluding(g, basis, tp) for g in eves[t])
+                    assert cap_eves[t, k, i, j] == pytest.approx(ref, abs=1e-9)
+                    assert cap_users[t, k, i, j] == pytest.approx(
+                        cap_legit(basis.source_gain, tp), abs=1e-9)
+
+
+def _norm2(v) -> Fraction:
+    return sum(Fraction(x.real) ** 2 + Fraction(x.imag) ** 2 for x in v)
+
+
+def _exact_null_leak(h, g) -> Fraction:
+    """||g||^2 - |g.conj(h)|^2 / ||h||^2 in exact rational arithmetic."""
+    re = sum(Fraction(a.real) * Fraction(b.real) + Fraction(a.imag) * Fraction(b.imag)
+             for a, b in zip(g, h))
+    im = sum(Fraction(a.imag) * Fraction(b.real) - Fraction(a.real) * Fraction(b.imag)
+             for a, b in zip(g, h))
+    return _norm2(g) - (re**2 + im**2) / _norm2(h)
+
+
+@pytest.mark.parametrize("n", [2, 6, 16])
+def test_null_leak_cancellation_bound(n):
+    # g = c conj(b) + delta w with w.b = 0 lies ever closer to the beam; the
+    # projector form's null leakage must stay within the documented absolute
+    # error 4 n eps ||g||^2 of the exact value and never go negative
+    s = RngStreams(97 + n)
+    tp = TransmitParams(300.0, 0.5, n)
+    for _ in range(8):
+        h = sample_complex_gaussian((n,), s.legit)
+        beam = np.conj(h) / np.linalg.norm(h)
+        w = sample_complex_gaussian((n,), s.eves)
+        w = w - (w @ beam) * np.conj(beam)
+        for delta in (1e-2, 1e-4, 1e-6, 1e-8, 0.0):
+            g = (1.5 - 0.5j) * np.conj(beam) + delta * w
+            stats = channel_stats(h[None, :], g[None, :], colluding=False)
+            null_leak = float(stats.null_leak[0, 0])
+            limit = 4 * n * np.finfo(float).eps * float(np.sum(np.abs(g) ** 2))
+            assert null_leak >= 0.0
+            assert abs(Fraction(null_leak) - _exact_null_leak(h, g)) <= Fraction(limit)
+            cap = capacity_grids(stats, np.array([tp.power]), np.array([tp.data_fraction]))[1]
+            ref = cap_eve_noncolluding(g, beamforming_basis(h), tp)
+            assert float(cap[0, 0, 0]) == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("colluding", [False, True])
+def test_pointwise_eve_capacity_equals_the_grid(colluding):
+    # the partial-CSI audit evaluates one (power, fraction) pair per slot; it
+    # must reproduce the grid entry of that pair bit for bit
+    s = RngStreams(7)
+    legit = sample_complex_gaussian((500, 1, 6), s.legit)
+    eves = sample_complex_gaussian((500, 3, 6), s.eves)
+    stats = channel_stats(legit, eves, colluding)
+    power = np.array([0.0, 100.0, 200.0, 300.0])
+    fraction = np.linspace(0.0, 1.0, 21)
+    grid = capacity_grids(stats, power, fraction)[1]
+    pick = np.random.default_rng(3)
+    p_idx, f_idx = pick.integers(0, 4, 500), pick.integers(0, 21, 500)
+    point = eve_capacity(stats, power[p_idx, None], fraction[f_idx, None])
+    assert np.array_equal(point[:, 0], grid[np.arange(500), 0, p_idx, f_idx])
 
 
 def test_channel_stats_validation():

@@ -5,6 +5,7 @@ on regenerated channels and arrivals, with the queue recursions written out,
 and demands bit-identical decisions and queue trajectories.
 """
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -71,6 +72,18 @@ def test_validate_specific_rules():
     with pytest.raises(ConfigError):
         ScenarioConfig(seed=-1).validate()
     ScenarioConfig(csi="partial", eta=0.3).validate()
+
+
+def test_validate_rejects_non_finite_values():
+    # max() skips a NaN that is not first and NaN <= 0 is False, so the
+    # priorities need an explicit finiteness check
+    for theta in ((1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ConfigError, match="theta"):
+            ScenarioConfig(theta=theta).validate()
+    with pytest.raises(ConfigError, match="p_av"):
+        ScenarioConfig(p_av=math.inf).validate()
+    with pytest.raises(ConfigError, match="v must"):
+        ScenarioConfig(v=math.inf).validate()
 
 
 def test_validate_rejects_overflowing_scores():
