@@ -5,8 +5,8 @@ unknown or missing keys are hard errors so a typo cannot silently change the
 physics.  All CSV output is deterministic for a given config and seed, with
 floats printed to 17 significant digits so values round-trip.
 
-Exit codes: 0 success, 1 configuration error, 2 invariant violation during a
-run, 3 I/O error.
+Exit codes: 0 success, 1 configuration error or memory exhausted, 2 invariant
+violation during a run, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -346,6 +346,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -12,12 +12,12 @@ three steps:
 * batched: channels, capacity and secrecy-rate grids, then the best data
   fraction of every (slot, user, power) cell, which does not depend on the
   queues because backlogs are never negative;
-* sequential: the queue recursion in Python floats, scoring the K x |P|
-  cells per slot (`_choose_action`) and recording only the chosen action;
-* batched again: the audit of the chosen actions, the eavesdropper
-  capacity, rate cost and outage of each slot.  Under partial CSI the rates
-  never read the eavesdroppers, so only this audit computes their statistics,
-  for the served user and the chosen (power, fraction) alone.
+* sequential: only the queue recursion in Python floats, serving the best
+  of the K x |P| cells per slot (`_choose_action`);
+* batched again: the chunk's `SlotTrace` columns, with the audit of the
+  chosen actions (eavesdropper capacity, rate cost, outage; under partial CSI
+  only the audit reads the eavesdroppers, and only for the chosen action).
+  The cap check, every metric and the trace are slot-order reductions of them.
 
 Randomness comes from three named substreams of the run seed (legitimate
 channels, eavesdropper channels, arrivals), so the same seed reproduces a run
@@ -215,16 +215,6 @@ class RunMetrics:
     trace: SlotTrace | None = None
 
 
-def _check_queue_cap(backlog, queue_cap, slot: int):
-    """Raise InvariantViolation naming the first user above V theta_i + A_max."""
-    for user, (level, cap) in enumerate(zip(backlog, queue_cap)):
-        if level > cap:
-            raise InvariantViolation(
-                f"backlog of user {user} exceeded its deterministic cap at slot {slot}: "
-                f"{level!r} > {cap!r}", slot=slot, user=user, backlog=level, cap=cap,
-            )
-
-
 def sample_arrivals(config, rng: np.random.Generator, count: int) -> np.ndarray:
     """Per-user packet arrivals of `count` slots, shape (count, n_users).
 
@@ -325,7 +315,9 @@ def _choose_action(backlog, price, cell_rate, cell_f, cell_earlier, rates):
 
 
 def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
-    """Simulate `config.n_slots` slots; deterministic given the config."""
+    """Simulate `config.n_slots` slots; deterministic given the config.
+
+    `collect_trace` keeps the run's `SlotTrace` in the metrics and changes nothing else."""
     config.validate()
     regime = config.regime
     k = config.n_users
@@ -341,19 +333,13 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
     p_av = config.p_av
     v_theta = [config.v * t for t in config.theta]
     queue_cap = [vt + config.a_max for vt in v_theta]
-    lowest_cap = min(queue_cap)
 
     backlog = [0.0] * k
     power_queue = 0.0
-    backlog_sum = [0.0] * k
-    admitted_sum = [0.0] * k
+    sums = np.zeros(2 * k + 1)  # in slot order: backlogs entering a slot, admissions, power
+    peaks = np.zeros(3)  # the largest backlog, power queue and served secrecy rate
     served_slots = np.zeros(k, dtype=int)
-    power_sum = 0.0
-    transmit_slots = 0
     outage_slots = 0
-    max_backlog = 0.0
-    max_power_queue = 0.0
-    max_served_rate = 0.0
     gamma = 0.0
     trace = SlotTrace.empty(config.n_slots, k) if collect_trace else None
 
@@ -370,15 +356,13 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
             chunk_gamma = float(np.max(best_rate[:, :, positive] / power[positive]))
             gamma = max(gamma, chunk_gamma)
 
-        # The sequential recursion, in Python floats; it records the chosen
-        # actions, and the audit below computes their eavesdropper side.
-        chosen, slot_rates = [], []
-        admitted_rows, queue_rows, power_queue_rows = [], [], []
+        # The sequential recursion, in Python floats.  It only records each
+        # slot's action and levels; checks and metrics read the columns below.
+        chosen, admissions, power_queue_rows = [], [], []
+        levels = list(backlog)  # k backlogs entering each slot, then k after the last
         for t, (arrived, cell_rate, cell_f, cell_earlier) in enumerate(zip(
                 arrivals.tolist(), best_rate.reshape(count, -1).tolist(),
                 best_f.reshape(count, -1).tolist(), earlier.reshape(count, -1).tolist())):
-            slot = done + t
-            backlog_sum = [s + b for s, b in zip(backlog_sum, backlog)]
             # Admission minimizes sum (U_i - V theta_i) R_i over 0 <= R_i <= A_i,
             # the boundary going to full admission; with the allocation below it
             # caps every backlog at V theta_i + A_max.
@@ -386,71 +370,75 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
             # The zero-power action scores 0, so the objective is never negative;
             # argmax ties go to the lowest user, then power, then data fraction.
             price = [power_queue * p for p in power_levels]
-            user, p_idx, f_idx, slot_rate = _choose_action(
-                backlog, price, cell_rate, cell_f, cell_earlier, rates[t])
+            action = _choose_action(backlog, price, cell_rate, cell_f, cell_earlier, rates[t])
+            user, p_idx, _, slot_rate = action
             if slot_rate > 0.0:
                 backlog[user] = max(backlog[user] - slot_rate, 0.0)
             backlog = [b + a for b, a in zip(backlog, admitted)]
-            slot_power = power_levels[p_idx]
-            power_queue = max(power_queue - p_av, 0.0) + slot_power
-            admitted_sum = [s + a for s, a in zip(admitted_sum, admitted)]
-            power_sum += slot_power
-            peak = max(backlog)
-            if peak > max_backlog:
-                max_backlog = peak
-            if power_queue > max_power_queue:
-                max_power_queue = power_queue
-            if peak > lowest_cap:
-                _check_queue_cap(backlog, queue_cap, slot)
-            chosen.append((user, p_idx, f_idx))
-            slot_rates.append(slot_rate)
-            if trace is not None:
-                admitted_rows.append(admitted)
-                queue_rows.append(tuple(backlog))  # the next slot mutates backlog
-                power_queue_rows.append(power_queue)
+            power_queue = max(power_queue - p_av, 0.0) + power_levels[p_idx]
+            chosen.append(action)
+            admissions += admitted
+            levels += backlog
+            power_queue_rows.append(power_queue)
 
-        # Audit the chosen actions: whether an eavesdropper could have decoded.
-        user, p_idx, f_idx = np.array(chosen).T
-        slot_rate = np.array(slot_rates)
+        # The chunk's columns, with the audit of the chosen actions: whether an
+        # eavesdropper could have decoded.
+        user, p_idx, f_idx, slot_rate = (np.array(column) for column in zip(*chosen))
+        levels = np.array(levels).reshape(count + 1, k)
         eve, cost = _eavesdropper_audit(legit, eves, cap_eves, regime, power, fraction,
                                         cost_table, user, p_idx, f_idx)
         transmit = slot_rate > 0.0
-        outage = transmit & (eve > cost)
-        transmit_slots += int(np.count_nonzero(transmit))
-        outage_slots += int(np.count_nonzero(outage))
+        columns = SlotTrace(
+            slot=np.arange(done, done + count), arrival=arrivals,
+            admitted=np.array(admissions).reshape(count, k),
+            user=user, power=power[p_idx], data_fraction=fraction[f_idx],
+            codeword_rate=cap_users[np.arange(count), user, p_idx, f_idx],
+            rate_cost=cost, secrecy_rate=slot_rate, eavesdropper_capacity=eve,
+            outage=transmit & (eve > cost), queue=levels[1:],
+            power_queue=np.array(power_queue_rows),
+        )
+
+        # The first (slot, user) above its cap V theta_i + A_max, in row-major order.
+        over = np.flatnonzero(columns.queue > np.array(queue_cap))
+        if over.size:
+            t, violator = divmod(int(over[0]), k)
+            level, cap = float(columns.queue[t, violator]), queue_cap[violator]
+            raise InvariantViolation(
+                f"backlog of user {violator} exceeded its deterministic cap at slot "
+                f"{done + t}: {level!r} > {cap!r}",
+                slot=done + t, user=violator, backlog=level, cap=cap,
+                served_user=int(user[t]), power=float(columns.power[t]),
+                data_fraction=float(columns.data_fraction[t]), secrecy_rate=float(slot_rate[t]),
+            )
+
+        # Add in slot order, as a running sum does; np.sum may add pairwise.
+        steps = np.column_stack((levels[:-1], columns.admitted, columns.power))
+        sums = np.add.accumulate(np.vstack([sums, steps]))[-1]
+        peaks = np.maximum(peaks, [columns.queue.max(), columns.power_queue.max(),
+                                   slot_rate.max()])
+        outage_slots += int(np.count_nonzero(columns.outage))
         served_slots += np.bincount(user[transmit], minlength=k)
-        max_served_rate = max(max_served_rate, float(slot_rate.max()))
         if trace is not None:
-            rows = slice(done, done + count)
-            trace.slot[rows] = range(done, done + count)
-            trace.arrival[rows] = arrivals
-            trace.admitted[rows] = admitted_rows
-            trace.user[rows] = user
-            trace.power[rows] = power[p_idx]
-            trace.data_fraction[rows] = fraction[f_idx]
-            trace.codeword_rate[rows] = cap_users[np.arange(count), user, p_idx, f_idx]
-            trace.rate_cost[rows] = cost
-            trace.secrecy_rate[rows] = slot_rate
-            trace.eavesdropper_capacity[rows] = eve
-            trace.outage[rows] = outage
-            trace.queue[rows] = queue_rows
-            trace.power_queue[rows] = power_queue_rows
+            for field in fields(SlotTrace):
+                getattr(trace, field.name)[done:done + count] = getattr(columns, field.name)
         done += count
         # Release this chunk's grids before the next chunk builds its own.
         del legit, eves, cap_users, cap_eves, rates
 
     t_total = config.n_slots
-    admission_rate = np.array(admitted_sum) / t_total
+    transmit_slots = int(served_slots.sum())
+    avg_queue, admission_rate, avg_power = np.split(sums / t_total, [k, 2 * k])
+    max_queue, max_power_queue, max_served_rate = peaks.tolist()
     return RunMetrics(
         n_slots=t_total,
         admission_rate=admission_rate,
         weighted_admission_rate=float(np.dot(np.asarray(config.theta), admission_rate)),
-        avg_queue=np.array(backlog_sum) / t_total,
-        avg_power=power_sum / t_total,
+        avg_queue=avg_queue,
+        avg_power=float(avg_power[0]),
         empirical_outage=(outage_slots / transmit_slots) if transmit_slots else 0.0,
         n_transmit_slots=transmit_slots,
         slots_served=served_slots,
-        max_queue=max_backlog,
+        max_queue=max_queue,
         max_power_queue=max_power_queue,
         power_queue_final=power_queue,
         max_served_rate=max_served_rate,

@@ -1,17 +1,23 @@
 """Command-line interface: config handling, CSV output, exit codes."""
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secsched import ScenarioConfig, SlotTrace, run
-from secsched.cli import main
+from secsched.cli import _KEY_TYPES, main
 
 BASE = {
     "n_antennas": 6, "n_eves": 3, "n_users": 2,
@@ -264,6 +270,81 @@ def test_usage_errors_exit_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["run", "--config", "x.json", "--seed", "notanint"]) == 1
     capsys.readouterr()
+
+
+def test_run_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    # a trace too long to allocate, without allocating it: numpy raises a
+    # MemoryError subclass ("Unable to allocate 7.28 TiB ...")
+    def no_memory(cls, n_slots, n_users):
+        raise MemoryError(f"Unable to allocate a trace of {n_slots} slots")
+
+    monkeypatch.setattr(SlotTrace, "empty", classmethod(no_memory))
+    cfg = _write_config(tmp_path / "c.json", n_slots=10)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv"), "--trace"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "10 slots" in err
+    assert "Traceback" not in err
+
+
+# JSON that json.dumps cannot write: the parser must turn each away, not the run.
+_RAW_LITERALS = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "-" + "9" * 40)
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+_NUMBERS = (st.floats(-1.0, 400.0) | st.integers() | st.floats(allow_nan=False)
+            | st.sampled_from([2**63, 2**64, 5e-324]))
+# Values of the key's own JSON type, the likeliest to get past the type checks.
+_TYPED = {
+    "int": st.integers(-1, 64) | st.integers() | st.sampled_from([2**63 - 1, 2**63, 2**64]),
+    "float": _NUMBERS,
+    "bool": st.booleans(),
+    "str": st.sampled_from(["partial", "instantaneous", ""]) | st.text(max_size=4),
+    "tuple": st.lists(_NUMBERS, max_size=5),
+}
+# Sizes that pass validation stay this small, so every run is short and light.
+_SIZE_LIMITS = {"n_slots": 50, "n_users": 4, "n_antennas": 8, "n_eves": 8}
+
+
+@st.composite
+def _mutated_config_text(draw):
+    doc = dict(BASE, n_slots=draw(st.integers(1, 50)))
+    keys = draw(st.lists(st.sampled_from(sorted(_KEY_TYPES)), min_size=1, max_size=2,
+                         unique=True))
+    literals = {}
+    for key in keys:
+        kind = draw(st.sampled_from(["raw", "any", "typed", "typed"]))
+        if kind == "raw":
+            doc[key] = placeholder = f"@raw{len(literals)}@"
+            literals[placeholder] = draw(st.sampled_from(_RAW_LITERALS))
+            continue
+        value = draw(_ANY_JSON if kind == "any" else _TYPED[_KEY_TYPES[key]])
+        if key in _SIZE_LIMITS and type(value) is int:
+            value = min(value, _SIZE_LIMITS[key])
+        doc[key] = value
+    text = json.dumps(doc)
+    for placeholder, literal in literals.items():
+        text = text.replace(json.dumps(placeholder), literal)
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_mutated_config_text())
+def test_run_fails_closed_on_any_config(text):
+    # Any document either runs or is refused as a configuration error, with
+    # `error:` and no traceback; never an invariant violation or a crash.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "r.csv")])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error:")
 
 
 # --- sweep -----------------------------------------------------------------------

@@ -5,7 +5,9 @@ on regenerated channels and arrivals, with the queue recursions written out,
 and demands bit-identical decisions and queue trajectories.
 """
 import dataclasses
+import functools
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -183,8 +185,15 @@ def test_queue_cap_breach_raises_at_the_first_slot(monkeypatch):
     assert (slot, user, backlog[user], cap[user]) == (3, 1, 124.0, 123.0)
     with pytest.raises(InvariantViolation) as err:
         run(config)
+    assert str(err.value) == (
+        "backlog of user 1 exceeded its deterministic cap at slot 3: 124.0 > 123.0")
     assert (err.value.slot, err.value.user) == (slot, user)
     assert (err.value.backlog, err.value.cap) == (backlog[user], cap[user])
+    # the slot's decision: with only the zero power every score ties at 0, so
+    # the lowest user, power and data fraction win and nothing is sent
+    decision = (err.value.served_user, err.value.power, err.value.data_fraction,
+                err.value.secrecy_rate)
+    assert decision == (0, 0.0, config.ratio_grid[0], 0.0)
 
 
 def test_instantaneous_outage_is_identically_zero():
@@ -215,16 +224,27 @@ def test_starved_run_never_transmits():
     assert m.admission_rate.max() < 1.0
 
 
-def test_metrics_bookkeeping():
-    m = run(_small(n_slots=500), collect_trace=True)
-    assert m.n_slots == 500 and len(m.trace.slot) == 500
+def _running_sum(rows, start):
+    """`start` plus each row in slot order, one addition at a time."""
+    return functools.reduce(operator.add, rows, start)
+
+
+@pytest.mark.parametrize("n_users", [1, 2, 3])
+def test_metrics_bookkeeping(n_users):
+    # The metrics are running sums and maxima of the trace's columns, equal to
+    # the last bit: a pairwise sum (np.sum of one user's column) rounds otherwise.
+    m = run(_small(n_slots=500, n_users=n_users), collect_trace=True)
+    trace = m.trace
+    assert m.n_slots == 500 and len(trace.slot) == 500
     assert m.n_transmit_slots == int(m.slots_served.sum())
-    assert m.avg_power * 500 == pytest.approx(m.trace.power.sum())
-    assert m.max_queue == pytest.approx(m.trace.queue.max())
-    assert m.max_power_queue == pytest.approx(m.trace.power_queue.max())
-    assert m.power_queue_final == m.trace.power_queue[-1]
-    admitted = m.trace.admitted.sum(axis=0)
-    assert np.allclose(m.admission_rate, admitted / 500)
+    before = np.vstack([np.zeros(n_users), trace.queue[:-1]])  # backlogs entering each slot
+    assert np.array_equal(m.avg_queue, _running_sum(before, np.zeros(n_users)) / 500)
+    assert np.array_equal(m.admission_rate,
+                          _running_sum(trace.admitted, np.zeros(n_users)) / 500)
+    assert m.avg_power == _running_sum(trace.power.tolist(), 0.0) / 500
+    assert m.max_queue == trace.queue.max()
+    assert m.max_power_queue == trace.power_queue.max()
+    assert m.power_queue_final == trace.power_queue[-1]
     assert m.weighted_admission_rate == pytest.approx(float(m.admission_rate.sum()))
 
 
