@@ -10,30 +10,32 @@ every transmitted message respects a secrecy constraint.
 from .channel import (
     ChannelRealization,
     RngStreams,
-    beamforming_basis,
     sample_complex_gaussian,
     sample_realization,
     sample_realization_batch,
 )
 from .control import choose_v, compute_bounds
 from .errors import ConfigError, DegenerateChannelError
-from .secrecy import (
-    SecrecyRegime,
+from .oracle import (
     TransmitParams,
-    calibrate_outage,
+    beamforming_basis,
     cap_eve_noncolluding,
     cap_eve_upper_noncolluding,
     cap_eves_colluding,
     cap_eves_colluding_logdet,
     cap_eves_upper_colluding,
     cap_legit,
+    secrecy_rate,
+)
+from .secrecy import (
+    SecrecyRegime,
+    calibrate_outage,
     colluding_outage_ccdf,
     noncolluding_outage_cdf,
     rate_cost_colluding,
     rate_cost_noncolluding,
     rate_cost_noncolluding_bisect,
     rate_cost_table,
-    secrecy_rate,
 )
 from .simulator import RunMetrics, ScenarioConfig, SlotTrace, run, sample_arrivals
 

@@ -1,18 +1,16 @@
-"""Block-fading channel sampling and the beamforming / artificial-noise basis.
+"""Block-fading channel sampling from named random substreams.
 
-Each slot the transmitter points a unit beam at the intended receiver and
-spreads isotropic artificial noise over the orthogonal complement of that
-receiver's channel, so only eavesdroppers are jammed.  Entries of every
-channel vector are i.i.d. circularly-symmetric complex Gaussian with unit
-variance, and receiver thermal noise is normalized to unit variance.
+Entries of every channel vector are i.i.d. circularly-symmetric complex
+Gaussian with unit variance, and receiver thermal noise is normalized to unit
+variance.  The beamforming geometry lives elsewhere: `secrecy.channel_stats`
+projects onto the beam's orthogonal complement, where the artificial noise
+goes, and the scalar oracle (`oracle.beamforming_basis`) builds a basis of it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DegenerateChannelError
 
 # Substream indices.  Legitimate channels, eavesdropper channels, and packet
 # arrivals each draw from their own counter-based stream so that, e.g.,
@@ -96,64 +94,3 @@ def sample_realization_batch(config, streams: RngStreams, count: int):
     legit = sample_complex_gaussian((count, config.n_users, config.n_antennas), streams.legit)
     eves = sample_complex_gaussian((count, config.n_eves, config.n_antennas), streams.eves)
     return legit, eves
-
-
-@dataclass
-class BeamformingBasis:
-    """Orthonormal transmit basis split into data beam and noise subspace.
-
-    `beam` is the unit vector that maximizes the intended receiver's SNR and
-    `null_basis` holds the remaining orthonormal columns, all lying in the
-    null space of the receiver's channel row, so artificial noise sent there
-    is invisible to the intended receiver.  `source_gain` is the squared
-    channel norm seen on the data beam.
-    """
-
-    beam: np.ndarray        # (n_antennas,) complex, unit norm
-    null_basis: np.ndarray  # (n_antennas, n_antennas-1) complex, orthonormal columns
-    source_gain: float
-
-
-def beamforming_bases(channels: np.ndarray):
-    """Vectorized basis construction for channel rows in the trailing axis.
-
-    Returns (beam, null_basis, source_gain) with shapes (..., n), (..., n, n-1)
-    and (...,).  The completion uses a single Householder reflector mapping the
-    first coordinate axis onto the beam direction; the reflector's remaining
-    columns are the noise subspace.  It serves the scalar oracle path: the
-    batched kernels (`secrecy.channel_stats`) use the projector
-    I - beam beam^H instead of a basis.
-    """
-    channels = np.asarray(channels, dtype=complex)
-    n = channels.shape[-1]
-    if n < 2:
-        raise ValueError(f"need at least 2 antennas, got {n}")
-    gain = np.sum(channels.real**2 + channels.imag**2, axis=-1)
-    if np.any(gain == 0.0):
-        raise DegenerateChannelError("zero channel vector has no beam direction")
-    beam = np.conj(channels) / np.sqrt(gain)[..., None]
-
-    # Reflector through w = beam + phase*e1 sends e1 to a unit-phase multiple
-    # of beam; its trailing columns are then orthonormal and orthogonal to
-    # beam.  Adding the phase keeps w away from cancellation for any input.
-    first = beam[..., 0]
-    mag = np.abs(first)
-    phase = np.where(mag > 0.0, first / np.where(mag > 0.0, mag, 1.0), 1.0 + 0j)
-    w = beam.copy()
-    w[..., 0] += phase
-    wnorm2 = np.sum(w.real**2 + w.imag**2, axis=-1)
-    null_basis = -(2.0 / wnorm2[..., None, None]) * (
-        w[..., :, None] * np.conj(w[..., None, 1:])
-    )
-    idx = np.arange(1, n)
-    null_basis[..., idx, idx - 1] += 1.0
-    return beam, null_basis, gain
-
-
-def beamforming_basis(h: np.ndarray) -> BeamformingBasis:
-    """Basis for one channel row; see `beamforming_bases`."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 1:
-        raise ValueError("expected a single channel row")
-    beam, null_basis, gain = beamforming_bases(h[None, :])
-    return BeamformingBasis(beam=beam[0], null_basis=null_basis[0], source_gain=float(gain[0]))

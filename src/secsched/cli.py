@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .secrecy import PARTIAL, calibrate_outage
-from .simulator import _DEFAULT_RATIO_GRID, RunMetrics, ScenarioConfig, SlotTrace, run
+from .simulator import _DEFAULT_RATIO_GRID, RunMetrics, ScenarioConfig, SlotTrace, _is_number, run
 
 # Config keys and their JSON types come from ScenarioConfig's annotations,
 # which are the strings "int", "float", "bool", "str" and "tuple".
@@ -38,10 +38,6 @@ _AXIS_TO_KEY = {
     "n_antennas": "n_antennas",
     "eta": "eta",
 }
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def scenario_from_doc(doc: dict, source: str = "config") -> ScenarioConfig:

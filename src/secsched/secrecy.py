@@ -21,19 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    BeamformingBasis,
-    ChannelRealization,
-    RngStreams,
-    beamforming_basis,
-    sample_complex_gaussian,
-)
+from .channel import RngStreams, sample_complex_gaussian
 from .errors import ConfigError, DegenerateChannelError
 
 INSTANTANEOUS = "instantaneous"
 PARTIAL = "partial"
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -51,133 +43,6 @@ class SecrecyRegime:
             raise ConfigError("eta must be 0 under instantaneous csi")
         if self.csi == PARTIAL and not 0.0 < self.eta < 1.0:
             raise ConfigError(f"eta must lie in (0, 1) under partial csi, got {self.eta!r}")
-
-
-@dataclass(frozen=True)
-class TransmitParams:
-    """Total power and its split between the data beam and artificial noise.
-
-    A fraction `data_fraction` of `power` drives the data symbol; the rest is
-    spread evenly over the n_antennas - 1 noise directions.
-    """
-
-    power: float
-    data_fraction: float
-    n_antennas: int
-
-    def __post_init__(self):
-        if self.power < 0:
-            raise ValueError(f"power must be nonnegative, got {self.power}")
-        if not 0.0 <= self.data_fraction <= 1.0:
-            raise ValueError(f"data fraction must lie in [0, 1], got {self.data_fraction}")
-        if self.n_antennas < 2:
-            raise ValueError("artificial noise needs at least 2 transmit antennas")
-
-    @property
-    def data_power(self) -> float:
-        return self.data_fraction * self.power
-
-    @property
-    def noise_power(self) -> float:
-        # per noise direction
-        return (1.0 - self.data_fraction) * self.power / (self.n_antennas - 1)
-
-
-@dataclass(frozen=True)
-class SecrecyRateResult:
-    codeword_rate: float  # what the intended receiver can decode
-    rate_cost: float      # rate given up to keep eavesdroppers ignorant
-    secrecy_rate: float   # confidential bits per slot, never negative
-
-
-# --- per-realization capacities -------------------------------------------
-
-def cap_legit(channel_gain: float, tp: TransmitParams) -> float:
-    """Intended receiver's rate; artificial noise is invisible to it."""
-    if channel_gain < 0:
-        raise ValueError(f"channel gain must be nonnegative, got {channel_gain}")
-    return math.log2(1.0 + tp.data_power * channel_gain)
-
-
-def _beam_and_null_leakage(g: np.ndarray, basis: BeamformingBasis):
-    g = np.asarray(g, dtype=complex)
-    if g.shape != basis.beam.shape:
-        raise ValueError(f"eavesdropper row {g.shape} does not match basis {basis.beam.shape}")
-    comp = g @ basis.beam
-    row = g @ basis.null_basis
-    return comp.real**2 + comp.imag**2, float(np.sum(row.real**2 + row.imag**2))
-
-
-def cap_eve_noncolluding(g: np.ndarray, basis: BeamformingBasis, tp: TransmitParams) -> float:
-    """One eavesdropper's rate: beam leakage over artificial noise plus thermal noise."""
-    signal, noise = _beam_and_null_leakage(g, basis)
-    return math.log2(1.0 + signal * tp.data_power / (noise * tp.noise_power + 1.0))
-
-
-def _joint_components(eves: np.ndarray, basis: BeamformingBasis):
-    eves = np.asarray(eves, dtype=complex)
-    if eves.ndim != 2 or eves.shape[1] != basis.beam.shape[0]:
-        raise ValueError("eavesdropper matrix does not match the basis dimension")
-    if eves.shape[0] >= basis.beam.shape[0]:
-        raise ConfigError(
-            "colluding analysis needs fewer eavesdroppers than transmit antennas"
-        )
-    return eves @ basis.beam, eves @ basis.null_basis
-
-
-def cap_eves_colluding(eves: np.ndarray, basis: BeamformingBasis, tp: TransmitParams) -> float:
-    """Joint-processing eavesdroppers' rate via the rank-one quadratic form."""
-    beam_comp, null_comp = _joint_components(eves, basis)
-    gram = null_comp @ null_comp.conj().T
-    cov = tp.noise_power * gram + np.eye(gram.shape[0])
-    sol = np.linalg.solve(cov, beam_comp)
-    return math.log2(1.0 + tp.data_power * float(np.real(np.vdot(beam_comp, sol))))
-
-
-def cap_eves_colluding_logdet(eves: np.ndarray, basis: BeamformingBasis, tp: TransmitParams) -> float:
-    """Same quantity as a log-det ratio of received covariances; kept as an oracle."""
-    beam_comp, null_comp = _joint_components(eves, basis)
-    cov = tp.noise_power * (null_comp @ null_comp.conj().T) + np.eye(null_comp.shape[0])
-    full = cov + tp.data_power * np.outer(beam_comp, np.conj(beam_comp))
-    _, ld_full = np.linalg.slogdet(full)
-    _, ld_cov = np.linalg.slogdet(cov)
-    return (ld_full - ld_cov) / _LN2
-
-
-def _check_fraction_interior(data_fraction: float):
-    if not 0.0 < data_fraction < 1.0:
-        raise ValueError(
-            f"the noise-free upper bound needs a data fraction in (0, 1), got {data_fraction}"
-        )
-
-
-def cap_eve_upper_noncolluding(g: np.ndarray, basis: BeamformingBasis, data_fraction: float) -> float:
-    """Upper bound on one eavesdropper's rate: thermal noise dropped.
-
-    Depends on the power split but not on total power, which is what makes
-    the outage level controllable without knowing the transmit power.
-    """
-    _check_fraction_interior(data_fraction)
-    signal, noise = _beam_and_null_leakage(g, basis)
-    if noise == 0.0:
-        raise DegenerateChannelError("eavesdropper row orthogonal to the noise subspace")
-    n = basis.beam.shape[0]
-    ratio = signal * (n - 1) * data_fraction / (noise * (1.0 - data_fraction))
-    return math.log2(1.0 + ratio)
-
-
-def cap_eves_upper_colluding(eves: np.ndarray, basis: BeamformingBasis, data_fraction: float) -> float:
-    """Upper bound on the colluding eavesdroppers' rate, thermal noise dropped."""
-    _check_fraction_interior(data_fraction)
-    beam_comp, null_comp = _joint_components(eves, basis)
-    gram = null_comp @ null_comp.conj().T
-    try:
-        sol = np.linalg.solve(gram, beam_comp)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateChannelError("singular artificial-noise Gram matrix") from exc
-    quad = float(np.real(np.vdot(beam_comp, sol)))
-    n = basis.beam.shape[0]
-    return math.log2(1.0 + (n - 1) * data_fraction / (1.0 - data_fraction) * quad)
 
 
 # --- outage statistics under partial CSI -----------------------------------
@@ -324,7 +189,7 @@ def rate_cost_table(ratio_grid, regime: SecrecyRegime, n_antennas: int, n_eves: 
 
 @dataclass
 class ChannelStats:
-    """Everything the capacity formulas need, per (slot, user), batched.
+    """Everything the capacity kernels need, per (slot, user), batched.
 
     With the unit beam b = conj(h) / ||h|| of a user's channel row h, an
     eavesdropper row g leaks `beam_leak` = |g.b|^2 into the data beam and
@@ -333,8 +198,8 @@ class ChannelStats:
     McKay, IEEE TVT 2010).  No basis of that subspace is built.
     `noise_eigvals`/`beam_weights` diagonalize the colluding eavesdroppers'
     artificial-noise Gram matrix G G^H - u u^H, with G the matrix of
-    eavesdropper rows and u = G b, so the joint capacity becomes a scalar sum
-    for every power split, instead of one linear solve per grid point.
+    eavesdropper rows and u = G b, so the joint capacity is a scalar sum over
+    eavesdroppers (added in index order by `eve_capacity`) for any power split.
 
     The subtraction cancels when g lies almost along conj(b): its absolute
     error is at most 4 n eps ||g||^2 (eps = 2^-52), so the relative error of
@@ -429,9 +294,8 @@ def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.n
     """Receiver and eavesdropper rates for every (power, data fraction) pair.
 
     Returns (legit, eve) arrays of shape stats.legit_gain.shape + (n_powers,
-    n_fractions).  The eve array is the realized eavesdropping capacity of
-    the configured collusion behavior, thermal noise included.  Leading zero
-    powers (a sorted grid's idle action) are not computed: both of their
+    n_fractions); the eve array is `eve_capacity` on the whole grid.  Leading
+    zero powers (a sorted grid's idle action) are not computed: both of their
     rates are log2(1 + 0 * x) = 0 exactly.
     """
     power = np.asarray(power_grid, dtype=float)
@@ -442,38 +306,37 @@ def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.n
     cap_users[..., :idle, :] = 0.0
     cap_eves[..., :idle, :] = 0.0
     power = power[idle:]
-    data_power = power[:, None] * fraction[None, :]
-    noise_power = power[:, None] * (1.0 - fraction[None, :]) / (stats.n_antennas - 1)
     legit_capacity_grid(stats.legit_gain, power, fraction, out=cap_users[..., idle:, :])
-    if stats.noise_eigvals is None:
-        ratio = stats.beam_leak[..., None, None] * data_power / (
-            stats.null_leak[..., None, None] * noise_power + 1.0
-        )
-        np.log2(1.0 + np.max(ratio, axis=-3), out=cap_eves[..., idle:, :])
-    else:
-        quad = np.sum(
-            stats.beam_weights[..., None, None]
-            / (noise_power * stats.noise_eigvals[..., None, None] + 1.0),
-            axis=-3,
-        )
-        np.log2(1.0 + data_power * quad, out=cap_eves[..., idle:, :])
+    eve_capacity(stats, power[:, None], fraction, out=cap_eves[..., idle:, :])
     return cap_users, cap_eves
 
 
-def eve_capacity(stats: ChannelStats, power: np.ndarray, fraction: np.ndarray) -> np.ndarray:
-    """Eavesdropper capacity at one (power, data fraction) pair per (..., K) entry.
+def eve_capacity(stats: ChannelStats, power: np.ndarray, fraction: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Realized capacity of the configured eavesdroppers, thermal noise included.
 
-    `power` and `fraction` broadcast against stats.legit_gain.shape.  The
-    expressions, and their order, are those of `capacity_grids`' eve grid,
-    so each value equals the grid entry of its pair.
+    `power` and `fraction` broadcast against the result's shape
+    stats.legit_gain.shape + (n_powers, n_fractions), which is written to
+    `out` when given; the partial-CSI audit passes each slot's chosen pair as
+    a 1 x 1 grid.  Eavesdroppers are folded in index order (a running max or
+    sum), never reduced as an axis, which numpy may sum pairwise: a value does
+    not depend on the grid around it, so the audit equals `capacity_grids`.
     """
-    data_power = (power * fraction)[..., None]
-    noise_power = (power * (1.0 - fraction) / (stats.n_antennas - 1))[..., None]
-    if stats.noise_eigvals is None:
-        ratio = stats.beam_leak * data_power / (stats.null_leak * noise_power + 1.0)
-        return np.log2(1.0 + np.max(ratio, axis=-1))
-    quad = np.sum(stats.beam_weights / (noise_power * stats.noise_eigvals + 1.0), axis=-1)
-    return np.log2(1.0 + data_power[..., 0] * quad)
+    data_power = power * fraction
+    noise_power = power * (1.0 - fraction) / (stats.n_antennas - 1)
+    colluding = stats.noise_eigvals is not None
+    terms = (stats.beam_weights[..., e, None, None]
+             / (noise_power * stats.noise_eigvals[..., e, None, None] + 1.0) if colluding
+             else stats.beam_leak[..., e, None, None] * data_power
+             / (stats.null_leak[..., e, None, None] * noise_power + 1.0)
+             for e in range(stats.beam_leak.shape[-1]))
+    acc = next(terms)
+    for term in terms:
+        (np.add if colluding else np.maximum)(acc, term, out=acc)
+    if colluding:
+        acc *= data_power
+    acc += 1.0
+    return np.log2(acc, out=out)
 
 
 def secrecy_rate_grid(cap_users: np.ndarray, cap_eves: np.ndarray,
@@ -486,40 +349,17 @@ def secrecy_rate_grid(cap_users: np.ndarray, cap_eves: np.ndarray,
     return np.maximum(cap_users - cost_table, 0.0)
 
 
-def secrecy_rate(realization: ChannelRealization, user: int,
-                 tp: TransmitParams, regime: SecrecyRegime) -> SecrecyRateResult:
-    """Secrecy rate of serving `user` with `tp` under `regime`, one slot."""
-    if not 0 <= user < realization.n_users:
-        raise ValueError(f"user index {user} out of range")
-    if realization.n_antennas != tp.n_antennas:
-        raise ValueError("transmit parameters disagree with the realization's antenna count")
-    if realization.n_eves < 1:
-        raise ValueError("need at least one eavesdropper row")
-    basis = beamforming_basis(realization.legit[user])
-    codeword = cap_legit(basis.source_gain, tp)
-    if regime.csi == INSTANTANEOUS:
-        if regime.colluding:
-            cost = cap_eves_colluding(realization.eves, basis, tp)
-        else:
-            cost = max(cap_eve_noncolluding(g, basis, tp) for g in realization.eves)
-    else:
-        fn = rate_cost_colluding if regime.colluding else rate_cost_noncolluding
-        cost = fn(tp.data_fraction, regime.eta, realization.n_antennas, realization.n_eves)
-    secrecy = 0.0 if math.isinf(cost) else max(codeword - cost, 0.0)
-    return SecrecyRateResult(codeword_rate=codeword, rate_cost=cost, secrecy_rate=secrecy)
-
-
 # --- Monte-Carlo calibration of the outage design ---------------------------
 
 def noise_free_bound(legit: np.ndarray, eves: np.ndarray, data_fraction: float,
                      colluding: bool) -> np.ndarray:
     """Eavesdroppers' capacity upper bound with thermal noise dropped, batched.
 
-    legit: (..., K, n); eves: (..., n_eves, n); returns (..., K).  The
-    batched form of `cap_eve_upper_noncolluding` (strongest eavesdropper) and
-    `cap_eves_upper_colluding`, whose quadratic form u^H Gram^-1 u is one
-    n_eves x n_eves solve per user, with u = G b and the artificial-noise
-    Gram matrix G G^H - u u^H.
+    legit: (..., K, n); eves: (..., n_eves, n); returns (..., K).  The batched
+    form of `oracle.cap_eve_upper_noncolluding` (strongest eavesdropper) and
+    `oracle.cap_eves_upper_colluding`, whose u^H Gram^-1 u is one n_eves x
+    n_eves solve per user (u = G b, artificial-noise Gram G G^H - u u^H).
+    Only calibration reads it, so no grid needs to match it bit for bit.
     """
     legit = np.asarray(legit, dtype=complex)
     eves = np.asarray(eves, dtype=complex)

@@ -26,6 +26,7 @@ bit for bit and structural changes to one stream never shift the others.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -52,6 +53,10 @@ _RATE_CEILING = 1024.0
 
 _DEFAULT_POWER_GRID = (0.0, 100.0, 200.0, 300.0)
 _DEFAULT_RATIO_GRID = tuple(i / 20 for i in range(21))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -89,7 +94,11 @@ class ScenarioConfig:
 
     def validate(self) -> "ScenarioConfig":
         """Raise ConfigError naming every violated field; return self when clean."""
-        problems = []
+        problems = [f"{f.name} must be a real number, got {getattr(self, f.name)!r}"
+                    for f in fields(self)
+                    if f.type == "float" and not _is_number(getattr(self, f.name))]
+        if problems:  # the range checks below compare these fields
+            raise ConfigError("; ".join(problems))
         if not (isinstance(self.n_antennas, int) and self.n_antennas >= 2):
             problems.append(f"n_antennas must be an integer >= 2, got {self.n_antennas!r}")
         if not (isinstance(self.n_eves, int) and self.n_eves >= 1):
@@ -248,9 +257,9 @@ def _eavesdropper_audit(legit, eves, cap_eves, regime: SecrecyRegime, power, fra
 
     Instantaneous CSI gathers both from the full grid.  Under partial CSI the
     cost is the pre-inverted table entry of the chosen fraction, and the
-    capacity is computed here at the chosen (power, fraction) alone, from the
-    served user's channel row, for the slots that transmit: a zero-power
-    action leaks log2(1 + 0) = 0.
+    capacity is the grid's kernel `eve_capacity` at the chosen (power,
+    fraction) alone, from the served user's channel row, for the slots that
+    transmit: a zero-power action leaks log2(1 + 0) = 0.
     """
     if regime.csi == INSTANTANEOUS:
         eve = cap_eves[np.arange(len(user)), user, p_idx, f_idx]
@@ -258,7 +267,8 @@ def _eavesdropper_audit(legit, eves, cap_eves, regime: SecrecyRegime, power, fra
     sent = np.flatnonzero(power[p_idx] > 0.0)
     stats = channel_stats(legit[sent, user[sent]][:, None, :], eves[sent], regime.colluding)
     eve = np.zeros(len(user))
-    eve[sent] = eve_capacity(stats, power[p_idx[sent], None], fraction[f_idx[sent], None])[:, 0]
+    eve[sent] = eve_capacity(stats, power[p_idx[sent], None, None, None],
+                             fraction[f_idx[sent], None, None, None])[:, 0, 0, 0]
     return eve, cost_table[f_idx]
 
 

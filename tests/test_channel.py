@@ -17,7 +17,7 @@ from secsched import (
     sample_realization,
     sample_realization_batch,
 )
-from secsched.channel import beamforming_bases
+from secsched.oracle import beamforming_bases
 
 
 def test_same_seed_reproduces_draws():

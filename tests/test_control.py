@@ -117,7 +117,7 @@ def _brute_force(real, backlog, power_queue, config):
     ("instantaneous", False), ("instantaneous", True),
     ("partial", False), ("partial", True),
 ])
-def test_allocate_matches_brute_force(csi, colluding):
+def test_chosen_action_matches_brute_force(csi, colluding):
     eta = 0.25 if csi == "partial" else 0.0
     config, trace = _traced(csi=csi, colluding=colluding, eta=eta,
                             ratio_grid=tuple(np.linspace(0.0, 1.0, 11)), n_slots=200, seed=1)

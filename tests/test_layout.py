@@ -1,0 +1,62 @@
+"""Module boundaries: the production path never reaches the scalar oracle, and
+every name the benchmark looks up in the package still resolves.
+
+The benchmark files under `perfbench/` are only read here.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import secsched
+
+PACKAGE = Path(secsched.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Dotted names of every module `path` imports, relative imports resolved.
+
+    `from a import b` counts as importing both `a` and `a.b`, since `b` may be
+    a module.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(part for part in ("secsched" if node.level else "", node.module)
+                              if part)
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["channel", "control", "secrecy", "simulator", "cli"])
+def test_production_modules_do_not_import_the_oracle(module):
+    imported = _imported_modules(PACKAGE / f"{module}.py")
+    assert "secsched.oracle" not in imported
+
+
+def test_every_benchmark_wrap_target_resolves():
+    # WRAPS is a tuple of (module, attribute, span, counter) tuples; the first
+    # two are string literals, read from the source without importing it
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    wraps = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(target, "id", None) == "WRAPS" for target in node.targets))
+    targets = [(ast.literal_eval(entry.elts[0]), ast.literal_eval(entry.elts[1]))
+               for entry in wraps.elts]
+    assert targets
+    for module_name, attr in targets:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            f"{module_name}.{attr}"
+
+
+def test_secrecy_exports_what_the_benchmark_checks_import():
+    imports = [node for node in ast.walk(ast.parse((PERFBENCH / "checks.py").read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module == "secsched.secrecy"]
+    names = {alias.name for node in imports for alias in node.names}
+    assert names == {"colluding_outage_ccdf", "rate_cost_noncolluding_bisect"}
+    secrecy = importlib.import_module("secsched.secrecy")
+    assert all(callable(getattr(secrecy, name, None)) for name in names)

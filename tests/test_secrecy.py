@@ -431,21 +431,26 @@ def test_null_leak_cancellation_bound(n):
             assert float(cap[0, 0, 0]) == pytest.approx(ref, abs=1e-9)
 
 
-@pytest.mark.parametrize("colluding", [False, True])
-def test_pointwise_eve_capacity_equals_the_grid(colluding):
+@pytest.mark.parametrize("n,n_eves,colluding", [
+    pytest.param(6, 3, False, id="False"), pytest.param(6, 3, True, id="True"),
+    pytest.param(10, 9, False, id="False-10x9"), pytest.param(10, 9, True, id="True-10x9"),
+])
+def test_pointwise_eve_capacity_equals_the_grid(n, n_eves, colluding):
     # the partial-CSI audit evaluates one (power, fraction) pair per slot; it
-    # must reproduce the grid entry of that pair bit for bit
+    # must reproduce the grid entry of that pair bit for bit, also when there
+    # are enough colluding eavesdroppers (8 or more) for numpy to sum an
+    # eavesdropper axis pairwise
     s = RngStreams(7)
-    legit = sample_complex_gaussian((500, 1, 6), s.legit)
-    eves = sample_complex_gaussian((500, 3, 6), s.eves)
+    legit = sample_complex_gaussian((500, 1, n), s.legit)
+    eves = sample_complex_gaussian((500, n_eves, n), s.eves)
     stats = channel_stats(legit, eves, colluding)
     power = np.array([0.0, 100.0, 200.0, 300.0])
     fraction = np.linspace(0.0, 1.0, 21)
     grid = capacity_grids(stats, power, fraction)[1]
     pick = np.random.default_rng(3)
     p_idx, f_idx = pick.integers(0, 4, 500), pick.integers(0, 21, 500)
-    point = eve_capacity(stats, power[p_idx, None], fraction[f_idx, None])
-    assert np.array_equal(point[:, 0], grid[np.arange(500), 0, p_idx, f_idx])
+    point = eve_capacity(stats, power[p_idx, None, None, None], fraction[f_idx, None, None, None])
+    assert np.array_equal(point[:, 0, 0, 0], grid[np.arange(500), 0, p_idx, f_idx])
 
 
 def test_channel_stats_validation():

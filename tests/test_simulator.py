@@ -88,6 +88,16 @@ def test_validate_rejects_non_finite_values():
         ScenarioConfig(v=math.inf).validate()
 
 
+def test_validate_rejects_wrongly_typed_numbers():
+    # a range check on a string or None raises TypeError, and True passes one
+    for overrides, field in ((dict(v="1"), "v"), (dict(v=True), "v"), (dict(p_av=None), "p_av"),
+                             (dict(arrival_mean="3"), "arrival_mean"),
+                             (dict(csi="partial", eta="0.1"), "eta")):
+        with pytest.raises(ConfigError, match=f"^{field} must be a real number"):
+            ScenarioConfig(**overrides).validate()
+    ScenarioConfig(v=np.float64(50.0), p_av=150, arrival_mean=np.int64(3)).validate()
+
+
 def test_validate_rejects_overflowing_scores():
     # X*P reaches n_slots * p_max**2 and U*r reaches (V*theta + A_max) * 1024
     with pytest.raises(ConfigError, match="power_grid"):
