@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Substream indices.  Legitimate channels, eavesdropper channels, and packet
 # arrivals each draw from their own counter-based stream so that, e.g.,
 # changing the number of eavesdroppers leaves the legitimate draws untouched.
@@ -33,7 +35,7 @@ class RngStreams:
     def __init__(self, seed: int):
         seed = int(seed)
         if not 0 <= seed < _MAX_SEED:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+            raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
         self.seed = seed
         self.legit = _stream(seed, _LEGIT_STREAM)
         self.eves = _stream(seed, _EVE_STREAM)

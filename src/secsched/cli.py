@@ -24,13 +24,13 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .secrecy import PARTIAL, calibrate_outage
-from .simulator import _DEFAULT_RATIO_GRID, RunMetrics, ScenarioConfig, SlotTrace, _is_number, run
+from .simulator import (
+    _DEFAULT_RATIO_GRID, RunMetrics, ScenarioConfig, SlotTrace, _is_int, _is_number, run,
+)
 
-# Config keys and their JSON types come from ScenarioConfig's annotations,
-# which are the strings "int", "float", "bool", "str" and "tuple".
-_KEY_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
 # The summary CSV echoes every scalar field, in declaration order.
-_CONFIG_ECHO = tuple(key for key, kind in _KEY_TYPES.items() if kind != "tuple")
+_CONFIG_ECHO = tuple(f.name for f in dataclasses.fields(ScenarioConfig) if f.type != "tuple")
 
 _AXIS_TO_KEY = {
     "lambda": "arrival_mean",
@@ -41,13 +41,16 @@ _AXIS_TO_KEY = {
 
 
 def scenario_from_doc(doc: dict, source: str = "config") -> ScenarioConfig:
-    """Build a ScenarioConfig from a flat key-value document, fail-closed."""
+    """Build a ScenarioConfig from a flat key-value document, fail-closed.
+
+    Only the document's shape is checked here; `ScenarioConfig.validate` checks
+    every value's type and range."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{source} must be a flat JSON object")
-    unknown = sorted(set(doc) - set(_KEY_TYPES))
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown {source} keys: {', '.join(unknown)}")
-    required = set(_KEY_TYPES) - {"eta"}
+    required = set(_CONFIG_KEYS) - {"eta"}
     missing = sorted(required - set(doc))
     if missing:
         raise ConfigError(f"missing {source} keys: {', '.join(missing)}")
@@ -56,30 +59,7 @@ def scenario_from_doc(doc: dict, source: str = "config") -> ScenarioConfig:
     if doc.get("csi") != PARTIAL and "eta" in doc:
         raise ConfigError("key conflict: eta is only meaningful when csi is 'partial'")
 
-    fields = {}
-    for key, value in doc.items():
-        kind = _KEY_TYPES[key]
-        if kind == "int":
-            if not (isinstance(value, int) and not isinstance(value, bool)):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            fields[key] = value
-        elif kind == "float":
-            if not _is_number(value):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
-            fields[key] = float(value)
-        elif kind == "bool":
-            if not isinstance(value, bool):
-                raise ConfigError(f"{key} must be a boolean, got {value!r}")
-            fields[key] = value
-        elif kind == "str":
-            if not isinstance(value, str):
-                raise ConfigError(f"{key} must be a string, got {value!r}")
-            fields[key] = value
-        else:
-            if not isinstance(value, list) or not value or not all(_is_number(x) for x in value):
-                raise ConfigError(f"{key} must be a non-empty list of numbers, got {value!r}")
-            fields[key] = tuple(float(x) for x in value)
-    config = ScenarioConfig(**fields)
+    config = ScenarioConfig(**doc)
     try:
         return config.validate()
     except ConfigError as exc:
@@ -232,17 +212,11 @@ def _sweep_points(doc: dict, seed_override: int | None):
     key = _AXIS_TO_KEY[axis]
     points = []
     for index, value in enumerate(values):
-        point = dict(base)
-        if key == "n_antennas":
-            if not (isinstance(value, int) and not isinstance(value, bool)):
-                raise ConfigError(f"n_antennas sweep values must be integers, got {value!r}")
-            point[key] = value
-        else:
-            point[key] = float(value)
+        point = dict(base, **{key: value})
         if seed_override is not None:
             point["seed"] = seed_override
-        if policy == "incremented" and "seed" in point:
-            point["seed"] = int(point["seed"]) + index
+        if policy == "incremented" and _is_int(point.get("seed")):
+            point["seed"] += index
         config = scenario_from_doc(point, source=f"sweep point {axis}={value}")
         points.append((value, config))
     return axis, points

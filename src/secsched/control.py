@@ -1,10 +1,12 @@
-"""Grid validation and the guarantee constants of the drift-plus-penalty controller.
+"""Guarantee constants of the drift-plus-penalty controller, and the choice of V.
 
 The controller itself is the slot loop in `simulator.run`: it thresholds
 admissions against the backlogs, then picks one (user, power, data fraction)
 action maximizing backlog-weighted secrecy rate minus the power price.  Both
 steps are the exact per-slot minimizers of the drift-plus-penalty upper
 bound, which is what yields the queue and power guarantees evaluated here.
+Scenario fields, the power and data-fraction grids among them, are checked
+by `ScenarioConfig.validate`.
 """
 from __future__ import annotations
 
@@ -13,24 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-
-
-def ascending_grid(values, name: str, unit_interval: bool = False,
-                   require_zero: bool = False) -> np.ndarray:
-    arr = np.sort(np.asarray(values, dtype=float).ravel())
-    if arr.size == 0:
-        raise ConfigError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} entries must be finite")
-    if np.unique(arr).size != arr.size:
-        raise ConfigError(f"{name} entries must be distinct")
-    if unit_interval and (arr[0] < 0.0 or arr[-1] > 1.0):
-        raise ConfigError(f"{name} entries must lie in [0, 1]")
-    if not unit_interval and arr[0] < 0.0:
-        raise ConfigError(f"{name} entries must be nonnegative")
-    if require_zero and arr[0] != 0.0:
-        raise ConfigError(f"{name} must contain 0 so idling is always available")
-    return arr
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel import _MAX_SEED, RngStreams, sample_realization_batch
-from .control import ascending_grid
 from .errors import ConfigError, InvariantViolation
 from .secrecy import (
     INSTANTANEOUS,
@@ -59,13 +58,48 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number_list(value) -> bool:
+    flat = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+    return flat and all(map(_is_number, value))
+
+
+# The one type rule per ScenarioConfig annotation, with the kind's name for errors.
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a real number"),
+    "bool": (lambda value: isinstance(value, bool), "a boolean"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "tuple": (_is_number_list, "a list of real numbers"),
+}
+
+_GRIDS = ("power_grid", "ratio_grid")
+
+# theta's default, one unit priority per user, filled in on construction.  It is
+# not None, so an explicit None (a JSON null) is a mistyped theta.
+_ONE_PER_USER = object()
+
+
+def _as_float(value) -> float:
+    """float(value), or a signed infinity for an integer beyond the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass
 class ScenarioConfig:
     """Complete description of one simulated scenario.
 
     Defaults correspond to the standard evaluation setup: a 6-antenna
     transmitter, 3 eavesdroppers, 2 users, power grid {0,100,200,300} with an
-    average budget of 200 and a 21-point data-fraction grid.
+    average budget of 200 and a 21-point data-fraction grid.  `validate` holds
+    every field's type and range rule; construction leaves a mistyped field
+    as given.
     """
 
     n_antennas: int = 6
@@ -75,7 +109,7 @@ class ScenarioConfig:
     csi: str = INSTANTANEOUS
     eta: float = 0.0
     v: float = 100.0
-    theta: tuple = None
+    theta: tuple = _ONE_PER_USER
     power_grid: tuple = _DEFAULT_POWER_GRID
     ratio_grid: tuple = _DEFAULT_RATIO_GRID
     p_av: float = 200.0
@@ -85,30 +119,29 @@ class ScenarioConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        if self.theta is None:
-            self.theta = (1.0,) * int(self.n_users)
-        else:
-            self.theta = tuple(float(t) for t in np.atleast_1d(self.theta))
-        self.power_grid = tuple(float(p) for p in sorted(self.power_grid))
-        self.ratio_grid = tuple(float(e) for e in sorted(self.ratio_grid))
+        """Normalise the well-typed fields: floats to float, lists to float
+        tuples, grids sorted.  A mistyped field is left for `validate` to name."""
+        if self.theta is _ONE_PER_USER:
+            self.theta = (1.0,) * self.n_users if _is_int(self.n_users) else ()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and _is_number(value):
+                setattr(self, f.name, _as_float(value))
+            elif f.type == "tuple" and _is_number_list(value):
+                floats = tuple(map(_as_float, value))
+                setattr(self, f.name, tuple(sorted(floats)) if f.name in _GRIDS else floats)
 
     def validate(self) -> "ScenarioConfig":
         """Raise ConfigError naming every violated field; return self when clean."""
-        problems = [f"{f.name} must be a real number, got {getattr(self, f.name)!r}"
-                    for f in fields(self)
-                    if f.type == "float" and not _is_number(getattr(self, f.name))]
-        if problems:  # the range checks below compare these fields
+        problems = [f"{f.name} must be {_FIELD_TYPES[f.type][1]}, got {getattr(self, f.name)!r}"
+                    for f in fields(self) if not _FIELD_TYPES[f.type][0](getattr(self, f.name))]
+        if problems:  # the range checks below compare the fields
             raise ConfigError("; ".join(problems))
-        if not (isinstance(self.n_antennas, int) and self.n_antennas >= 2):
-            problems.append(f"n_antennas must be an integer >= 2, got {self.n_antennas!r}")
-        if not (isinstance(self.n_eves, int) and self.n_eves >= 1):
-            problems.append(f"n_eves must be an integer >= 1, got {self.n_eves!r}")
-        if not (isinstance(self.n_users, int) and self.n_users >= 1):
-            problems.append(f"n_users must be an integer >= 1, got {self.n_users!r}")
-        if not isinstance(self.colluding, bool):
-            problems.append(f"colluding must be a boolean, got {self.colluding!r}")
-        elif self.colluding and isinstance(self.n_antennas, int) \
-                and isinstance(self.n_eves, int) and self.n_antennas <= self.n_eves:
+        for name, least in (("n_antennas", 2), ("n_eves", 1), ("n_users", 1), ("n_slots", 1)):
+            if getattr(self, name) < least:
+                problems.append(f"{name} must be an integer >= {least}, "
+                                f"got {getattr(self, name)!r}")
+        if self.colluding and self.n_antennas <= self.n_eves:
             problems.append("colluding eavesdroppers require n_antennas > n_eves")
         try:
             self.regime  # SecrecyRegime holds the csi/eta rule
@@ -118,26 +151,30 @@ class ScenarioConfig:
             problems.append(f"v must be positive and finite, got {self.v!r}")
         if len(self.theta) != self.n_users or not all(0 < t < math.inf for t in self.theta):
             problems.append(f"theta needs one positive, finite entry per user, got {self.theta!r}")
-        try:
-            ascending_grid(self.power_grid, "power_grid", require_zero=True)
-        except ConfigError as exc:
-            problems.append(str(exc))
-        try:
-            ascending_grid(self.ratio_grid, "ratio_grid", unit_interval=True)
-        except ConfigError as exc:
-            problems.append(str(exc))
+        for name in _GRIDS:  # sorted on construction
+            grid = getattr(self, name)
+            if not grid:
+                problems.append(f"{name} must not be empty")
+            elif not all(map(math.isfinite, grid)):
+                problems.append(f"{name} entries must be finite")
+            elif len(set(grid)) != len(grid):
+                problems.append(f"{name} entries must be distinct")
+            elif grid[0] < 0.0:
+                problems.append(f"{name} entries must be nonnegative")
+            elif name == "ratio_grid" and grid[-1] > 1.0:
+                problems.append(f"{name} entries must lie in [0, 1]")
+            elif name == "power_grid" and grid[0] != 0.0:
+                problems.append(f"{name} must contain 0 so idling is always available")
         if not 0 < self.p_av < math.inf:
             problems.append(f"p_av must be positive and finite, got {self.p_av!r}")
         # Generator.binomial takes a_max as a C long
-        if not (isinstance(self.a_max, int) and 1 <= self.a_max <= np.iinfo(np.int64).max):
+        if not 1 <= self.a_max <= np.iinfo(np.int64).max:
             problems.append(f"a_max must be an integer in [1, 2**63 - 1], got {self.a_max!r}")
         elif not 0.0 < self.arrival_mean <= self.a_max:
             problems.append(
                 f"arrival_mean must lie in (0, a_max], got {self.arrival_mean!r}"
             )
-        if not (isinstance(self.n_slots, int) and self.n_slots >= 1):
-            problems.append(f"n_slots must be an integer >= 1, got {self.n_slots!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < _MAX_SEED):
+        if not 0 <= self.seed < _MAX_SEED:
             problems.append(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not problems:
             problems += self._score_overflow()
@@ -155,13 +192,14 @@ class ScenarioConfig:
         """
         p_max = self.power_grid[-1]
         u_max = self.v * max(self.theta) + self.a_max
+        n_slots = _as_float(self.n_slots)  # an int beyond the double range is inf
         problems = []
-        if not math.isfinite(self.n_slots * p_max * p_max):
+        if not math.isfinite(n_slots * p_max * p_max):
             problems.append(
                 f"power_grid up to {p_max!r} over n_slots={self.n_slots} overflows the "
                 "power price X*P (n_slots * p_max**2 must be finite)"
             )
-        if not math.isfinite(u_max * max(_RATE_CEILING, self.n_slots)):
+        if not math.isfinite(u_max * max(_RATE_CEILING, n_slots)):
             problems.append(
                 f"a backlog cap V*theta + a_max of {u_max!r} overflows the backlog weight "
                 f"U*r or the summed backlogs (it times max({_RATE_CEILING:g}, n_slots) "

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secsched import ScenarioConfig, SlotTrace, run
-from secsched.cli import _KEY_TYPES, main
+from secsched.cli import main
 
 BASE = {
     "n_antennas": 6, "n_eves": 3, "n_users": 2,
@@ -195,6 +195,8 @@ def test_type_errors_fail_closed(tmp_path):
     assert main(["run", "--config", _write_config(tmp_path / "c.json", colluding="yes")]) == 1
     assert main(["run", "--config", _write_config(tmp_path / "d.json", theta=[])]) == 1
     assert main(["run", "--config", _write_config(tmp_path / "e.json", v="high")]) == 1
+    # a null theta is refused, not read as the library's one-per-user default
+    assert main(["run", "--config", _write_config(tmp_path / "f.json", theta=None)]) == 1
 
 
 def test_malformed_json_fails(tmp_path, capsys):
@@ -306,12 +308,14 @@ _TYPED = {
 }
 # Sizes that pass validation stay this small, so every run is short and light.
 _SIZE_LIMITS = {"n_slots": 50, "n_users": 4, "n_antennas": 8, "n_eves": 8}
+# Config keys and their annotations: "int", "float", "bool", "str" or "tuple".
+_KINDS = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
 @st.composite
 def _mutated_config_text(draw):
     doc = dict(BASE, n_slots=draw(st.integers(1, 50)))
-    keys = draw(st.lists(st.sampled_from(sorted(_KEY_TYPES)), min_size=1, max_size=2,
+    keys = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=2,
                          unique=True))
     literals = {}
     for key in keys:
@@ -320,7 +324,7 @@ def _mutated_config_text(draw):
             doc[key] = placeholder = f"@raw{len(literals)}@"
             literals[placeholder] = draw(st.sampled_from(_RAW_LITERALS))
             continue
-        value = draw(_ANY_JSON if kind == "any" else _TYPED[_KEY_TYPES[key]])
+        value = draw(_ANY_JSON if kind == "any" else _TYPED[_KINDS[key]])
         if key in _SIZE_LIMITS and type(value) is int:
             value = min(value, _SIZE_LIMITS[key])
         doc[key] = value
@@ -410,6 +414,13 @@ def test_sweep_config_errors(tmp_path, capsys):
     (tmp_path / "e.json").write_text(extras)
     assert main(["sweep", "--config", str(tmp_path / "e.json")]) == 1
     capsys.readouterr()
+    # an incremented seed that is not an integer is refused, never cast
+    for index, seed in enumerate(["abc", None, [1], 1.5, True]):
+        cfg = _write_sweep(tmp_path / f"seed{index}.json", "v", [5.0, 10.0],
+                           policy="incremented", base_overrides={"seed": seed})
+        assert main(["sweep", "--config", cfg]) == 1, seed
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err and "Traceback" not in err
 
 
 def test_sweep_point_errors_name_the_point(tmp_path, capsys):
@@ -472,6 +483,11 @@ def test_validate_outage_bad_arguments(capsys):
     assert main(["validate-outage", "--eta", "0.3", "--samples", "50"]) == 1
     assert main(["validate-outage"]) == 1  # --eta is required
     capsys.readouterr()
+    for seed in ("-1", str(2**64)):  # outside the seed range
+        assert main(["validate-outage", "--eta", "0.1", "--samples", "10000",
+                     f"--seed={seed}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err and "Traceback" not in err
 
 
 # --- console entry point ---------------------------------------------------------------

@@ -18,7 +18,6 @@ from secsched import (
     sample_realization,
     secrecy_rate,
 )
-from secsched.control import ascending_grid
 
 
 def _traced(**kw):
@@ -85,19 +84,16 @@ def test_power_queue_update():
 # --- grids ----------------------------------------------------------------------
 
 def test_ascending_grid_rules():
-    assert np.array_equal(ascending_grid((3.0, 0.0, 1.0), "g"), [0.0, 1.0, 3.0])
-    with pytest.raises(ConfigError):
-        ascending_grid((), "g")
-    with pytest.raises(ConfigError):
-        ascending_grid((0.0, 0.0, 1.0), "g")
-    with pytest.raises(ConfigError):
-        ascending_grid((0.0, np.inf), "g")
-    with pytest.raises(ConfigError):
-        ascending_grid((-1.0, 0.0), "g")
-    with pytest.raises(ConfigError):
-        ascending_grid((0.0, 1.5), "g", unit_interval=True)
-    with pytest.raises(ConfigError):
-        ascending_grid((1.0, 2.0), "g", require_zero=True)
+    # ScenarioConfig sorts both grids on construction and checks them in validate
+    config = ScenarioConfig(power_grid=(3.0, 0.0, 1.0)).validate()
+    assert config.power_grid == (0.0, 1.0, 3.0)
+    for grid, message in (((), "must not be empty"), ((0.0, 0.0, 1.0), "must be distinct"),
+                          ((0.0, np.inf), "must be finite"), ((-1.0, 0.0), "nonnegative"),
+                          ((1.0, 2.0), "must contain 0")):
+        with pytest.raises(ConfigError, match=f"^power_grid .*{message}"):
+            ScenarioConfig(power_grid=grid).validate()
+    with pytest.raises(ConfigError, match=r"ratio_grid entries must lie in \[0, 1\]"):
+        ScenarioConfig(ratio_grid=(0.0, 1.5)).validate()
 
 
 # --- allocation -------------------------------------------------------------------

@@ -1,15 +1,18 @@
-"""Module boundaries: the production path never reaches the scalar oracle, and
-every name the benchmark looks up in the package still resolves.
+"""Module boundaries: the production path never reaches the scalar oracle,
+every name the benchmark looks up in the package still resolves, and config
+field types and ranges are checked in one place.
 
 The benchmark files under `perfbench/` are only read here.
 """
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import secsched
+from secsched.simulator import _FIELD_TYPES, ScenarioConfig
 
 PACKAGE = Path(secsched.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,3 +63,23 @@ def test_secrecy_exports_what_the_benchmark_checks_import():
     assert names == {"colluding_outage_ccdf", "rate_cost_noncolluding_bisect"}
     secrecy = importlib.import_module("secsched.secrecy")
     assert all(callable(getattr(secrecy, name, None)) for name in names)
+
+
+def _top_level_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(getattr(target, "id", None) for target in node.targets)
+    return names
+
+
+def test_every_config_field_type_has_a_rule():
+    kinds = {f.type for f in dataclasses.fields(ScenarioConfig)}
+    assert kinds <= set(_FIELD_TYPES), kinds - set(_FIELD_TYPES)
+
+
+def test_config_types_and_ranges_are_checked_only_by_the_scenario():
+    assert "_KEY_TYPES" not in _top_level_names(PACKAGE / "cli.py")
+    assert "ascending_grid" not in _top_level_names(PACKAGE / "control.py")

@@ -86,16 +86,67 @@ def test_validate_rejects_non_finite_values():
         ScenarioConfig(p_av=math.inf).validate()
     with pytest.raises(ConfigError, match="v must"):
         ScenarioConfig(v=math.inf).validate()
+    # integers beyond the double range read as infinite, never as OverflowError
+    for overrides, pattern in ((dict(v=10**400), "v must"),
+                               (dict(power_grid=(0, 10**400)), "power_grid entries"),
+                               (dict(n_slots=10**400), "n_slots=")):
+        with pytest.raises(ConfigError, match=pattern):
+            ScenarioConfig(**overrides).validate()
+
+
+_FIELD_NAMES = [f.name for f in dataclasses.fields(ScenarioConfig)]
+_INT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int"]
 
 
 def test_validate_rejects_wrongly_typed_numbers():
-    # a range check on a string or None raises TypeError, and True passes one
-    for overrides, field in ((dict(v="1"), "v"), (dict(v=True), "v"), (dict(p_av=None), "p_av"),
-                             (dict(arrival_mean="3"), "arrival_mean"),
-                             (dict(csi="partial", eta="0.1"), "eta")):
-        with pytest.raises(ConfigError, match=f"^{field} must be a real number"):
-            ScenarioConfig(**overrides).validate()
+    # a range check on a string or None raises TypeError, and True passes one;
+    # construction never raises, so a mistyped field reaches validate as given
+    cases = [(dict(v="1"), "v", "a real number"), (dict(v=True), "v", "a real number"),
+             (dict(p_av=None), "p_av", "a real number"),
+             (dict(arrival_mean="3"), "arrival_mean", "a real number"),
+             (dict(csi="partial", eta="0.1"), "eta", "a real number"),
+             (dict(colluding="yes"), "colluding", "a boolean"), (dict(csi=1), "csi", "a string"),
+             (dict(theta=("a", 1.0)), "theta", "a list of real numbers"),
+             (dict(theta=(1.0, None)), "theta", "a list of real numbers"),
+             (dict(theta=None), "theta", "a list of real numbers"),
+             (dict(power_grid=("0", 100)), "power_grid", "a list of real numbers"),
+             (dict(ratio_grid="abc"), "ratio_grid", "a list of real numbers")]
+    cases += [({field: flag}, field, "an integer") for field in _INT_FIELDS
+              for flag in (True, False)]
+    for overrides, field, kind in cases:
+        config = ScenarioConfig(**overrides)
+        with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got"):
+            config.validate()
     ScenarioConfig(v=np.float64(50.0), p_av=150, arrival_mean=np.int64(3)).validate()
+
+
+_ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.complex_numbers() | st.floats().map(np.float64) | st.floats().map(np.array)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.lists(st.floats(), max_size=4).map(np.array)
+    | st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3).map(np.array),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_field_values_validate_or_raise_config_error(data):
+    names = data.draw(st.lists(st.sampled_from(_FIELD_NAMES), min_size=1, max_size=2,
+                               unique=True))
+    overrides = {name: data.draw(_ANY_VALUE, label=name) for name in names}
+    if type(overrides.get("n_users")) is int and "theta" not in overrides:
+        # an omitted theta becomes n_users ones on construction, a tuple as
+        # long as n_users: keep it small enough to allocate
+        overrides["n_users"] = min(overrides["n_users"], 64)
+    config = ScenarioConfig(**overrides)
+    try:
+        config.validate()
+    except ConfigError:
+        pass
 
 
 def test_validate_rejects_overflowing_scores():
