@@ -178,10 +178,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_worker(config: ScenarioConfig) -> RunMetrics:
-    return run(config)
-
-
 def _sweep_points(doc: dict, seed_override: int | None):
     if not isinstance(doc, dict):
         raise ConfigError("sweep config must be a JSON object")
@@ -228,17 +224,10 @@ def cmd_sweep(args) -> int:
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "value", "seed"] + _metric_columns(k))
-        configs = [config for _, config in points]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = pool.map(_run_worker, configs)
-                for (value, config), metrics in zip(points, results):
-                    writer.writerow([_fmt(v) for v in
-                                     [axis, value, config.seed] + _metric_values(metrics)])
-                    fh.flush()
-        else:
-            for value, config in points:
-                metrics = run(config)
+        pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+        with pool or contextlib.nullcontext():
+            results = (pool.map if pool else map)(run, [config for _, config in points])
+            for (value, config), metrics in zip(points, results):
                 writer.writerow([_fmt(v) for v in
                                  [axis, value, config.seed] + _metric_values(metrics)])
                 fh.flush()

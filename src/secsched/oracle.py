@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import ConfigError, DegenerateChannelError
-from .secrecy import INSTANTANEOUS, SecrecyRegime, rate_cost_colluding, rate_cost_noncolluding
+from .secrecy import INSTANTANEOUS, SecrecyRegime, rate_cost_table
 
 _LN2 = math.log(2.0)
 
@@ -227,7 +227,7 @@ def secrecy_rate(realization: ChannelRealization, user: int,
         else:
             cost = max(cap_eve_noncolluding(g, basis, tp) for g in realization.eves)
     else:
-        fn = rate_cost_colluding if regime.colluding else rate_cost_noncolluding
-        cost = fn(tp.data_fraction, regime.eta, realization.n_antennas, realization.n_eves)
+        cost = float(rate_cost_table([tp.data_fraction], regime, realization.n_antennas,
+                                     realization.n_eves)[0])
     secrecy = 0.0 if math.isinf(cost) else max(codeword - cost, 0.0)
     return SecrecyRateResult(codeword_rate=codeword, rate_cost=cost, secrecy_rate=secrecy)

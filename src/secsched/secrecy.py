@@ -26,6 +26,7 @@ from .errors import ConfigError, DegenerateChannelError
 
 INSTANTANEOUS = "instantaneous"
 PARTIAL = "partial"
+_CALIBRATION_CHUNK = 50_000  # channel draws per `calibrate_outage` batch
 
 
 @dataclass(frozen=True)
@@ -79,15 +80,21 @@ def colluding_outage_ccdf(x, n_antennas: int, n_eves: int):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _check_inversion_args(data_fraction, outage_level, n_antennas, n_eves):
-    if not 0.0 <= data_fraction <= 1.0:
-        raise ValueError(f"data fraction must lie in [0, 1], got {data_fraction}")
+def _check_threshold_args(outage_level, n_antennas, n_eves, colluding):
     if not 0.0 < outage_level < 1.0:
         raise ValueError(f"outage level must lie in (0, 1), got {outage_level}")
     if n_antennas < 2:
         raise ValueError("need at least 2 antennas")
     if n_eves < 1:
         raise ValueError("need at least one eavesdropper")
+    if colluding and n_antennas <= n_eves:
+        raise ConfigError("colluding analysis needs fewer eavesdroppers than transmit antennas")
+
+
+def _check_inversion_args(data_fraction, outage_level, n_antennas, n_eves, colluding=False):
+    if not 0.0 <= data_fraction <= 1.0:
+        raise ValueError(f"data fraction must lie in [0, 1], got {data_fraction}")
+    _check_threshold_args(outage_level, n_antennas, n_eves, colluding)
 
 
 def _bisect_decreasing(fn, target: float, rel_tol: float = 1e-12, max_iter: int = 200) -> float:
@@ -109,30 +116,60 @@ def _bisect_decreasing(fn, target: float, rel_tol: float = 1e-12, max_iter: int 
     return 0.5 * (lo + hi)
 
 
-def rate_cost_noncolluding(data_fraction: float, outage_level: float,
-                           n_antennas: int, n_eves: int) -> float:
-    """Smallest rate cost keeping the strongest eavesdropper's outage at the target.
+def leakage_threshold(outage_level: float, n_antennas: int, n_eves: int, colluding: bool) -> float:
+    """Level x that the eavesdroppers' leakage statistic s exceeds with probability eta.
 
-    Closed form: the target fixes the per-eavesdropper CDF level
-    (1 - eta)^(1/n_eves); inverting the leakage-ratio CDF at that level gives
-    a threshold that maps through the power split to a rate.  No artificial
-    noise (fraction 1) makes eavesdroppers arbitrarily strong, hence the
-    infinite sentinel; fraction 0 carries no message, so zero cost.
+    The noise-free capacity bound at data fraction e is log2(1 + s e / (1 - e))
+    and the law of s does not depend on e, so one x serves every fraction.
+    Non-colluding, x is closed form: the target fixes the per-eavesdropper
+    CDF level (1 - eta)^(1/n_eves).  Colluding, s is n_antennas - 1 times the
+    statistic of `colluding_outage_ccdf`, a tail with no tractable inverse
+    that falls strictly from 1 at the origin, so it is bisected.
     """
-    _check_inversion_args(data_fraction, outage_level, n_antennas, n_eves)
-    if data_fraction == 0.0:
-        return 0.0
-    if data_fraction == 1.0:
-        return math.inf
+    _check_threshold_args(outage_level, n_antennas, n_eves, colluding)
     m = n_antennas - 1
+    if colluding:
+        return m * _bisect_decreasing(lambda t: colluding_outage_ccdf(t, n_antennas, n_eves),
+                                      outage_level)
     per_eve_tail = 1.0 - (1.0 - outage_level) ** (1.0 / n_eves)
     if per_eve_tail == 0.0:
         raise ConfigError(
             f"outage level {outage_level!r} is too small to invert in double precision: "
             f"(1 - eta)^(1/{n_eves}) rounds to 1"
         )
-    threshold = m * (per_eve_tail ** (-1.0 / m) - 1.0)
-    return math.log2(1.0 + threshold * data_fraction / (1.0 - data_fraction))
+    return m * (per_eve_tail ** (-1.0 / m) - 1.0)
+
+
+def rate_cost_table(ratio_grid, regime: SecrecyRegime, n_antennas: int, n_eves: int) -> np.ndarray:
+    """Smallest rate cost keeping the eavesdroppers' outage at eta, per data fraction.
+
+    Partial CSI only.  One `leakage_threshold` x prices every interior
+    fraction e at log2(1 + x e / (1 - e)); it is computed only when the grid
+    has one.  Fraction 0 carries no message, so zero cost; fraction 1 (no
+    artificial noise) makes eavesdroppers arbitrarily strong, hence the
+    infinite sentinel.  `secrecy_rate_grid` maps both to zero secrecy, so the
+    sentinel never reaches an objective.
+    """
+    if regime.csi != PARTIAL:
+        raise ConfigError("rate-cost tables only apply under partial CSI")
+    fractions = [float(e) for e in ratio_grid]
+    return np.array(_rate_costs(fractions, regime.eta, n_antennas, n_eves, regime.colluding))
+
+
+def _rate_costs(fractions: list, outage_level, n_antennas, n_eves, colluding) -> list[float]:
+    """`rate_cost_table`'s entries; the scalar costs pass their fraction unconverted."""
+    for e in fractions:
+        _check_inversion_args(e, outage_level, n_antennas, n_eves, colluding)
+    if any(0.0 < e < 1.0 for e in fractions):  # x is read only at interior fractions
+        x = leakage_threshold(outage_level, n_antennas, n_eves, colluding)
+    return [0.0 if e == 0.0 else math.inf if e == 1.0
+            else math.log2(1.0 + x * e / (1.0 - e)) for e in fractions]
+
+
+def rate_cost_noncolluding(data_fraction: float, outage_level: float,
+                           n_antennas: int, n_eves: int) -> float:
+    """`rate_cost_table` at one fraction against non-colluding eavesdroppers."""
+    return _rate_costs([data_fraction], outage_level, n_antennas, n_eves, colluding=False)[0]
 
 
 def rate_cost_noncolluding_bisect(data_fraction: float, outage_level: float,
@@ -153,36 +190,8 @@ def rate_cost_noncolluding_bisect(data_fraction: float, outage_level: float,
 
 def rate_cost_colluding(data_fraction: float, outage_level: float,
                         n_antennas: int, n_eves: int) -> float:
-    """Smallest rate cost keeping the colluding eavesdroppers' outage at the target.
-
-    The tail has no tractable inverse, so bisect it; the tail is strictly
-    decreasing from 1 at the origin.
-    """
-    _check_inversion_args(data_fraction, outage_level, n_antennas, n_eves)
-    if n_antennas <= n_eves:
-        raise ConfigError("colluding analysis needs fewer eavesdroppers than transmit antennas")
-    if data_fraction == 0.0:
-        return 0.0
-    if data_fraction == 1.0:
-        return math.inf
-    threshold = _bisect_decreasing(
-        lambda t: colluding_outage_ccdf(t, n_antennas, n_eves), outage_level
-    )
-    m = n_antennas - 1
-    return math.log2(1.0 + threshold * m * data_fraction / (1.0 - data_fraction))
-
-
-def rate_cost_table(ratio_grid, regime: SecrecyRegime, n_antennas: int, n_eves: int) -> np.ndarray:
-    """Pre-inverted rate cost for every data fraction on the grid (partial CSI).
-
-    Entries for fractions 0 and 1 carry the boundary conventions (0 and the
-    infinite sentinel); downstream secrecy-rate code maps both to zero
-    secrecy, so the sentinel never reaches an objective.
-    """
-    if regime.csi != PARTIAL:
-        raise ConfigError("rate-cost tables only apply under partial CSI")
-    fn = rate_cost_colluding if regime.colluding else rate_cost_noncolluding
-    return np.array([fn(float(e), regime.eta, n_antennas, n_eves) for e in ratio_grid])
+    """`rate_cost_table` at one fraction against colluding eavesdroppers."""
+    return _rate_costs([data_fraction], outage_level, n_antennas, n_eves, colluding=True)[0]
 
 
 # --- vectorized sufficient statistics and rate grids ------------------------
@@ -339,14 +348,14 @@ def eve_capacity(stats: ChannelStats, power: np.ndarray, fraction: np.ndarray,
     return np.log2(acc, out=out)
 
 
-def secrecy_rate_grid(cap_users: np.ndarray, cap_eves: np.ndarray,
-                      regime: SecrecyRegime, cost_table: np.ndarray | None = None) -> np.ndarray:
-    """Nonnegative secrecy rate for every action; infinite costs clamp to zero."""
-    if regime.csi == INSTANTANEOUS:
-        return np.maximum(cap_users - cap_eves, 0.0)
-    if cost_table is None:
-        raise ValueError("partial CSI needs a pre-inverted rate-cost table")
-    return np.maximum(cap_users - cost_table, 0.0)
+def secrecy_rate_grid(cap_users: np.ndarray, rate_cost) -> np.ndarray:
+    """Nonnegative secrecy rate of every action: the codeword rate less its price.
+
+    The price is the eavesdropper grid under instantaneous CSI and the
+    `rate_cost_table`, broadcast over the fraction axis, under partial CSI;
+    infinite costs clamp to zero.
+    """
+    return np.maximum(cap_users - rate_cost, 0.0)
 
 
 # --- Monte-Carlo calibration of the outage design ---------------------------
@@ -386,8 +395,7 @@ class OutageCalibrationRow:
 
 
 def calibrate_outage(n_antennas: int, n_eves: int, eta: float, colluding: bool,
-                     ratio_grid, samples: int, seed: int,
-                     chunk: int = 50_000) -> list[OutageCalibrationRow]:
+                     ratio_grid, samples: int, seed: int) -> list[OutageCalibrationRow]:
     """Check the rate-cost inversion against fresh channel draws.
 
     For each interior data fraction on the grid, draws `samples` independent
@@ -407,16 +415,15 @@ def calibrate_outage(n_antennas: int, n_eves: int, eta: float, colluding: bool,
     interior = [float(e) for e in ratio_grid if 0.0 < float(e) < 1.0]
     if not interior:
         raise ConfigError("the ratio grid has no interior points to calibrate")
-    cost_fn = rate_cost_colluding if colluding else rate_cost_noncolluding
+    costs = rate_cost_table(interior, SecrecyRegime(PARTIAL, colluding, eta), n_antennas, n_eves)
     streams = RngStreams(seed)
     stderr = math.sqrt(eta * (1.0 - eta) / samples)
     rows = []
-    for eps in interior:
-        cost = cost_fn(eps, eta, n_antennas, n_eves)
+    for eps, cost in zip(interior, costs.tolist()):
         exceed = 0
         remaining = samples
         while remaining > 0:
-            count = min(chunk, remaining)
+            count = min(_CALIBRATION_CHUNK, remaining)
             legit = sample_complex_gaussian((count, 1, n_antennas), streams.legit)
             eves = sample_complex_gaussian((count, n_eves, n_antennas), streams.eves)
             bound = noise_free_bound(legit, eves, eps, colluding)[:, 0]

@@ -276,17 +276,17 @@ def sample_arrivals(config, rng: np.random.Generator, count: int) -> np.ndarray:
 def _rate_grids(legit, eves, regime: SecrecyRegime, power, fraction, cost_table):
     """Codeword-rate, eavesdropper-capacity and secrecy-rate grids of one chunk.
 
-    Under partial CSI the secrecy rates read only the users' gains ||h||^2
-    (the expression of `channel_stats`), so no eavesdropper statistics are
-    computed and the eavesdropper grid is None.
+    Each secrecy rate is priced at the eavesdropper grid, or under partial CSI
+    at the rate-cost table: then it reads only the users' gains ||h||^2 (the
+    expression of `channel_stats`) and the eavesdropper grid is None.
     """
     if regime.csi == PARTIAL:
         gain = np.sum(legit.real**2 + legit.imag**2, axis=-1)
-        cap_users, cap_eves = legit_capacity_grid(gain, power, fraction), None
-    else:
-        stats = channel_stats(legit, eves, regime.colluding)
-        cap_users, cap_eves = capacity_grids(stats, power, fraction)
-    return cap_users, cap_eves, secrecy_rate_grid(cap_users, cap_eves, regime, cost_table)
+        cap_users = legit_capacity_grid(gain, power, fraction)
+        return cap_users, None, secrecy_rate_grid(cap_users, cost_table)
+    stats = channel_stats(legit, eves, regime.colluding)
+    cap_users, cap_eves = capacity_grids(stats, power, fraction)
+    return cap_users, cap_eves, secrecy_rate_grid(cap_users, cap_eves)
 
 
 def _eavesdropper_audit(legit, eves, cap_eves, regime: SecrecyRegime, power, fraction,

@@ -230,6 +230,13 @@ def test_run_with_uninvertible_outage_level_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "outage level 1e-300" in err
 
 
+def test_run_without_interior_fractions_needs_no_inversion(tmp_path, capsys):
+    # fractions 0 and 1 cost 0 and inf whatever eta is, so eta = 1e-300 runs
+    cfg = _write_config(tmp_path / "c.json", csi="partial", eta=1e-300, ratio_grid=[0, 1])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_overflowing_power_grid_exits_one(tmp_path, capsys):
     # X*P reaches n_slots * 1e600 for this grid: rejected before any slot runs
     cfg = _write_config(tmp_path / "c.json", power_grid=[0.0, 1e300])

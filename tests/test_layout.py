@@ -83,3 +83,31 @@ def test_every_config_field_type_has_a_rule():
 def test_config_types_and_ranges_are_checked_only_by_the_scenario():
     assert "_KEY_TYPES" not in _top_level_names(PACKAGE / "cli.py")
     assert "ascending_grid" not in _top_level_names(PACKAGE / "control.py")
+
+
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+@pytest.mark.parametrize("module,function", [
+    ("secrecy", "calibrate_outage"), ("secrecy", "rate_cost_table"), ("oracle", "secrecy_rate"),
+])
+def test_rate_costs_are_priced_through_the_table(module, function):
+    names = _names(_function(PACKAGE / f"{module}.py", function))
+    assert not names & {"rate_cost_colluding", "rate_cost_noncolluding"}
+
+
+def test_only_the_threshold_and_the_oracle_bisect_a_tail():
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_bisect_decreasing"
+                   for n in ast.walk(top)):
+                callers.add(getattr(top, "name", f"{path.stem} module level"))
+    assert callers == {"leakage_threshold", "rate_cost_noncolluding_bisect"}

@@ -34,6 +34,7 @@ from secsched import (
     sample_complex_gaussian,
     secrecy_rate,
 )
+from secsched import secrecy
 from secsched.channel import ChannelRealization
 from secsched.secrecy import (
     capacity_grids,
@@ -332,6 +333,42 @@ def test_rate_cost_table():
         rate_cost_table(grid, SecrecyRegime(csi="instantaneous", colluding=False), 6, 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), colluding=st.booleans(), n=st.integers(2, 12),
+       eta=st.floats(1e-9, 1.0 - 1e-9),
+       grid=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=25))
+def test_rate_cost_table_is_the_per_fraction_costs(data, colluding, n, eta, grid):
+    n_eves = data.draw(st.integers(1, n - 1 if colluding else 8), label="n_eves")
+    table = rate_cost_table(grid, SecrecyRegime("partial", colluding, eta), n, n_eves)
+    fn = rate_cost_colluding if colluding else rate_cost_noncolluding
+    assert np.array_equal(table, [fn(e, eta, n, n_eves) for e in grid])
+
+
+def test_rate_cost_table_inverts_the_tail_once(monkeypatch):
+    bisect = secrecy._bisect_decreasing
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(secrecy, "_bisect_decreasing", counted)
+    regime = SecrecyRegime("partial", colluding=True, eta=0.1)
+    rate_cost_table([i / 20 for i in range(21)], regime, 6, 3)
+    assert len(calls) == 1
+    calibrate_outage(6, 3, 0.1, True, (0.3, 0.6), samples=10_000, seed=0)
+    assert len(calls) == 2
+
+
+def test_rate_cost_boundaries_skip_the_inversion():
+    # eta = 1e-300 cannot be inverted non-colluding, but the boundary
+    # fractions never need the threshold
+    assert rate_cost_noncolluding(0.0, 1e-300, 6, 3) == 0.0
+    assert rate_cost_noncolluding(1.0, 1e-300, 6, 3) == math.inf
+    with pytest.raises(ConfigError, match="too small to invert"):
+        rate_cost_noncolluding(0.5, 1e-300, 6, 3)
+
+
 # --- grid kernels vs the scalar path ------------------------------------------
 
 @pytest.mark.parametrize("csi,colluding", [
@@ -346,10 +383,10 @@ def test_grid_kernel_matches_scalar_path(csi, colluding):
     fraction = np.linspace(0.0, 1.0, 21)
     stats = channel_stats(real.legit, real.eves, colluding)
     cap_users, cap_eves = capacity_grids(stats, power, fraction)
-    cost_table = None
+    price = cap_eves
     if csi == "partial":
-        cost_table = rate_cost_table(fraction, regime, 6, 3)
-    rates = secrecy_rate_grid(cap_users, cap_eves, regime, cost_table)
+        price = rate_cost_table(fraction, regime, 6, 3)
+    rates = secrecy_rate_grid(cap_users, price)
     for k in range(real.n_users):
         for i, p in enumerate(power):
             for j, f in enumerate(fraction):
@@ -459,12 +496,6 @@ def test_channel_stats_validation():
         channel_stats(legit, np.ones((3, 5), dtype=complex), colluding=False)
     with pytest.raises(ConfigError):
         channel_stats(legit, np.ones((6, 6), dtype=complex), colluding=True)
-
-
-def test_secrecy_rate_grid_requires_cost_table():
-    regime = SecrecyRegime(csi="partial", colluding=False, eta=0.3)
-    with pytest.raises(ValueError):
-        secrecy_rate_grid(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), regime, None)
 
 
 def test_secrecy_rate_misuse():

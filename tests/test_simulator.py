@@ -346,7 +346,7 @@ def test_traced_run_replays_through_batched_kernels(csi, colluding, overrides):
         cost_table = rate_cost_table(fraction, regime, config.n_antennas, config.n_eves)
     stats = channel_stats(legit, eves, colluding)
     cap_users, cap_eves = capacity_grids(stats, power, fraction)
-    rates = secrecy_rate_grid(cap_users, cap_eves, regime, cost_table)
+    rates = secrecy_rate_grid(cap_users, cap_eves if cost_table is None else cost_table)
     score = backlog[:, :, None, None] * rates - virtual[:, None, None, None] * power[:, None]
     flat = np.argmax(score.reshape(t_all, -1), axis=1)
     user, p_idx, f_idx = np.unravel_index(flat, score.shape[1:])
