@@ -7,35 +7,17 @@ power split so that queues stay bounded, average power meets its budget and
 every transmitted message respects a secrecy constraint.
 """
 
-from .channel import (
-    ChannelRealization,
-    RngStreams,
-    sample_complex_gaussian,
-    sample_realization,
-    sample_realization_batch,
-)
+from .channel import RngStreams, sample_complex_gaussian, sample_realization_batch
 from .control import choose_v, compute_bounds
 from .errors import ConfigError, DegenerateChannelError
 from .oracle import (
-    TransmitParams,
-    beamforming_basis,
-    cap_eve_noncolluding,
-    cap_eve_upper_noncolluding,
-    cap_eves_colluding,
-    cap_eves_colluding_logdet,
-    cap_eves_upper_colluding,
-    cap_legit,
-    secrecy_rate,
+    ChannelRealization, TransmitParams, beamforming_basis, cap_eve_noncolluding,
+    cap_eve_upper_noncolluding, cap_eves_colluding, cap_eves_colluding_logdet,
+    cap_eves_upper_colluding, cap_legit, sample_realization, secrecy_rate,
 )
 from .secrecy import (
-    SecrecyRegime,
-    calibrate_outage,
-    colluding_outage_ccdf,
-    noncolluding_outage_cdf,
-    rate_cost_colluding,
-    rate_cost_noncolluding,
-    rate_cost_noncolluding_bisect,
-    rate_cost_table,
+    SecrecyRegime, calibrate_outage, colluding_outage_ccdf, noncolluding_outage_cdf,
+    rate_cost_colluding, rate_cost_noncolluding, rate_cost_noncolluding_bisect, rate_cost_table,
 )
 from .simulator import RunMetrics, ScenarioConfig, SlotTrace, run, sample_arrivals
 

@@ -8,8 +8,6 @@ goes, and the scalar oracle (`oracle.beamforming_basis`) builds a basis of it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -54,41 +52,6 @@ def sample_complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
     radius = np.sqrt(-np.log1p(-u[..., 0]))
     angle = 2.0 * np.pi * u[..., 1]
     return radius * (np.cos(angle) + 1j * np.sin(angle))
-
-
-@dataclass
-class ChannelRealization:
-    """One slot's channel state: per-user rows and per-eavesdropper rows."""
-
-    legit: np.ndarray  # (n_users, n_antennas) complex
-    eves: np.ndarray   # (n_eves, n_antennas) complex
-
-    def __post_init__(self):
-        self.legit = np.asarray(self.legit, dtype=complex)
-        self.eves = np.asarray(self.eves, dtype=complex)
-        if self.legit.ndim != 2 or self.eves.ndim != 2:
-            raise ValueError("channel matrices must be 2-d (rows = receivers)")
-        if self.legit.shape[1] != self.eves.shape[1]:
-            raise ValueError("user and eavesdropper rows disagree on antenna count")
-
-    @property
-    def n_users(self) -> int:
-        return self.legit.shape[0]
-
-    @property
-    def n_eves(self) -> int:
-        return self.eves.shape[0]
-
-    @property
-    def n_antennas(self) -> int:
-        return self.legit.shape[1]
-
-
-def sample_realization(config, streams: RngStreams) -> ChannelRealization:
-    """Draw one slot of fading for all users and eavesdroppers."""
-    legit = sample_complex_gaussian((config.n_users, config.n_antennas), streams.legit)
-    eves = sample_complex_gaussian((config.n_eves, config.n_antennas), streams.eves)
-    return ChannelRealization(legit=legit, eves=eves)
 
 
 def sample_realization_batch(config, streams: RngStreams, count: int):

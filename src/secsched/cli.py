@@ -235,25 +235,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate_outage(args) -> int:
-    rows = calibrate_outage(
-        n_antennas=args.n_antennas,
-        n_eves=args.n_eves,
-        eta=args.eta,
-        colluding=args.colluding,
-        ratio_grid=_DEFAULT_RATIO_GRID,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    rows = calibrate_outage(args.n_antennas, args.n_eves, args.eta, args.colluding,
+                            _DEFAULT_RATIO_GRID, args.samples, args.seed)
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
+        # one column per OutageCalibrationRow field, `passed` written as the status
         writer.writerow(["epsilon", "rate_cost", "eta_target", "eta_estimate",
                          "stderr", "n_samples", "status"])
         for row in rows:
-            writer.writerow([
-                _fmt(row.epsilon), _fmt(row.rate_cost), _fmt(row.eta_target),
-                _fmt(row.eta_estimate), _fmt(row.stderr), _fmt(row.n_samples),
-                "PASS" if row.passed else "FAIL",
-            ])
+            *values, passed = dataclasses.astuple(row)
+            writer.writerow([_fmt(v) for v in values] + ["PASS" if passed else "FAIL"])
     return 0
 
 

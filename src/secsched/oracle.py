@@ -6,7 +6,8 @@ explicitly (one Householder reflector), and every eavesdropper capacity is a
 scalar formula or a small linear solve on that basis.  The production path
 (`secrecy.channel_stats`, `secrecy.capacity_grids`, `secrecy.eve_capacity`)
 uses the projector I - b b^H instead and never imports this module; the
-tests, the demos and acceptance criterion 7 compare the two.
+tests, the demos and acceptance criterion 7 compare the two, on one slot's
+`ChannelRealization` drawn by `sample_realization`.
 """
 from __future__ import annotations
 
@@ -15,11 +16,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import RngStreams, sample_realization_batch
 from .errors import ConfigError, DegenerateChannelError
 from .secrecy import INSTANTANEOUS, SecrecyRegime, rate_cost_table
 
 _LN2 = math.log(2.0)
+
+
+@dataclass
+class ChannelRealization:
+    """One slot's channel state: per-user rows and per-eavesdropper rows."""
+
+    legit: np.ndarray  # (n_users, n_antennas) complex
+    eves: np.ndarray   # (n_eves, n_antennas) complex
+
+    def __post_init__(self):
+        self.legit = np.asarray(self.legit, dtype=complex)
+        self.eves = np.asarray(self.eves, dtype=complex)
+        if self.legit.ndim != 2 or self.eves.ndim != 2:
+            raise ValueError("channel matrices must be 2-d (rows = receivers)")
+        if self.legit.shape[1] != self.eves.shape[1]:
+            raise ValueError("user and eavesdropper rows disagree on antenna count")
+
+    @property
+    def n_users(self) -> int:
+        return self.legit.shape[0]
+
+    @property
+    def n_eves(self) -> int:
+        return self.eves.shape[0]
+
+    @property
+    def n_antennas(self) -> int:
+        return self.legit.shape[1]
+
+
+def sample_realization(config, streams: RngStreams) -> ChannelRealization:
+    """Draw one slot of fading for all users and eavesdroppers."""
+    legit, eves = sample_realization_batch(config, streams, 1)
+    return ChannelRealization(legit=legit[0], eves=eves[0])
 
 
 @dataclass

@@ -17,6 +17,8 @@ Receiver noise is normalized to unit variance throughout.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,18 @@ class SecrecyRegime:
             raise ConfigError(f"eta must lie in (0, 1) under partial csi, got {self.eta!r}")
 
 
+def check_outage_design(n_antennas: int, n_eves: int, colluding: bool) -> None:
+    """The antenna and eavesdropper rules of every outage analysis: artificial noise needs a
+    direction besides the beam, and colluding eavesdroppers must not null all of them."""
+    if n_antennas < 2:
+        raise ConfigError(f"n_antennas must be at least 2, got {n_antennas!r}")
+    if n_eves < 1:
+        raise ConfigError(f"n_eves must be at least 1, got {n_eves!r}")
+    if colluding and n_antennas <= n_eves:
+        raise ConfigError("colluding eavesdroppers require n_antennas > n_eves, "
+                          f"got {n_antennas!r} and {n_eves!r}")
+
+
 # --- outage statistics under partial CSI -----------------------------------
 
 def noncolluding_outage_cdf(x, n_antennas: int):
@@ -55,8 +69,7 @@ def noncolluding_outage_cdf(x, n_antennas: int):
     isotropic complex Gaussian row g; its law does not depend on the channel
     that defined the basis.
     """
-    if n_antennas < 2:
-        raise ValueError("need at least 2 antennas")
+    check_outage_design(n_antennas, 1, colluding=False)  # the law of one eavesdropper
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("the leakage ratio is nonnegative")
@@ -66,54 +79,67 @@ def noncolluding_outage_cdf(x, n_antennas: int):
 
 
 def colluding_outage_ccdf(x, n_antennas: int, n_eves: int):
-    """Tail of the colluding eavesdroppers' noise-whitened leakage statistic."""
-    if n_eves < 1:
-        raise ValueError("need at least one eavesdropper")
-    if n_antennas <= n_eves:
-        raise ConfigError("colluding analysis needs fewer eavesdroppers than transmit antennas")
+    """Tail of the colluding eavesdroppers' noise-whitened leakage statistic, (1 + x)^-m
+    sum_{k < n_eves} C(m, k) x^k with m = n_antennas - 1, evaluated by `_colluding_tail`."""
+    check_outage_design(n_antennas, n_eves, colluding=True)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("the leakage statistic is nonnegative")
-    m = n_antennas - 1
-    poly = sum(math.comb(m, k) * arr**k for k in range(n_eves))
-    out = poly * (1.0 + arr) ** (-m)
+    value, in_log = _colluding_tail(arr, n_antennas, n_eves)
+    out = np.where(in_log, np.exp(value), value)
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _check_threshold_args(outage_level, n_antennas, n_eves, colluding):
-    if not 0.0 < outage_level < 1.0:
-        raise ValueError(f"outage level must lie in (0, 1), got {outage_level}")
-    if n_antennas < 2:
-        raise ValueError("need at least 2 antennas")
-    if n_eves < 1:
-        raise ValueError("need at least one eavesdropper")
-    if colluding and n_antennas <= n_eves:
-        raise ConfigError("colluding analysis needs fewer eavesdroppers than transmit antennas")
+_MAX_TAIL_TERMS = 10_000  # log-form terms per evaluation, which bounds an inversion's cost
 
 
-def _check_inversion_args(data_fraction, outage_level, n_antennas, n_eves, colluding=False):
-    if not 0.0 <= data_fraction <= 1.0:
-        raise ValueError(f"data fraction must lie in [0, 1], got {data_fraction}")
-    _check_threshold_args(outage_level, n_antennas, n_eves, colluding)
+def _colluding_tail(arr: np.ndarray, n_antennas, n_eves):
+    """The colluding tail at arr >= 0, each entry linear or as its log, and the mask of logs.
+
+    The linear form poly(x) (1 + x)^-m, poly(x) = sum_{k < n_eves} C(m, k) x^k, holds
+    while m <= 1023 (every C(m, k) < 2^m is a double; rounding 1 + x costs at most m
+    ulps) and (1 + x)^-m is a normal double (so poly <= (1 + x)^m is finite).  Past
+    that, where it underflows, an entry is log(poly) - m log1p(x), log(poly) being a
+    log-sum-exp of log C(m, k) + k log(x)."""
+    m, n_eves = operator.index(n_antennas) - 1, operator.index(n_eves)
+    value, in_log = np.empty(arr.shape), np.ones(arr.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        if m <= 1023:
+            factor = (1.0 + arr) ** (-m)
+            value = np.array(sum(math.comb(m, k) * arr**k for k in range(n_eves)) * factor)
+            in_log = np.asarray(factor < np.finfo(float).tiny)
+        if np.any(in_log):
+            if n_eves > _MAX_TAIL_TERMS:
+                raise ConfigError(f"n_eves must be at most {_MAX_TAIL_TERMS} to sum the "
+                                  f"colluding leakage tail in log form, got {n_eves!r}")
+            k = np.arange(1.0, n_eves)
+            log_coef = np.cumsum(np.log((m + 1.0 - k) / k))  # log C(m, k), k >= 1
+            for j in np.flatnonzero(in_log):
+                terms = log_coef + k * np.log(arr.flat[j])
+                top = terms.max(initial=0.0)  # the k = 0 term is log 1
+                value.flat[j] = (top + math.log(math.exp(-top) + np.exp(terms - top).sum())
+                                 - m * math.log1p(arr.flat[j]))
+    return value, in_log
 
 
-def _bisect_decreasing(fn, target: float, rel_tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of fn(x) = target for a continuous strictly decreasing fn on [0, inf)."""
+def _bisect_decreasing(exceeds, rel_tol: float = 1e-12, max_iter: int = 200) -> float:
+    """Root of a continuous strictly decreasing fn on [0, inf) given exceeds(x) = fn(x) > target;
+    inf when fn exceeds the target even at the largest double."""
     lo, hi = 0.0, 1.0
-    while fn(hi) > target:
-        hi *= 2.0
-        if not math.isfinite(hi):
-            raise RuntimeError("failed to bracket the root")
+    while exceeds(hi):
+        if hi == sys.float_info.max:
+            return math.inf
+        hi = min(2.0 * hi, sys.float_info.max)
     while hi - lo > rel_tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > target:
+        mid = 0.5 * lo + 0.5 * hi  # = 0.5 * (lo + hi), which can overflow
+        if exceeds(mid):
             lo = mid
         else:
             hi = mid
         max_iter -= 1
         if max_iter <= 0:
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def leakage_threshold(outage_level: float, n_antennas: int, n_eves: int, colluding: bool) -> float:
@@ -124,20 +150,27 @@ def leakage_threshold(outage_level: float, n_antennas: int, n_eves: int, colludi
     Non-colluding, x is closed form: the target fixes the per-eavesdropper
     CDF level (1 - eta)^(1/n_eves).  Colluding, s is n_antennas - 1 times the
     statistic of `colluding_outage_ccdf`, a tail with no tractable inverse
-    that falls strictly from 1 at the origin, so it is bisected.
+    that falls strictly from 1 at the origin, so it is bisected, in log form
+    wherever `_colluding_tail` keeps the log.
     """
-    _check_threshold_args(outage_level, n_antennas, n_eves, colluding)
+    SecrecyRegime(PARTIAL, colluding, outage_level)  # the eta rule
+    check_outage_design(n_antennas, n_eves, colluding)
     m = n_antennas - 1
     if colluding:
-        return m * _bisect_decreasing(lambda t: colluding_outage_ccdf(t, n_antennas, n_eves),
-                                      outage_level)
-    per_eve_tail = 1.0 - (1.0 - outage_level) ** (1.0 / n_eves)
-    if per_eve_tail == 0.0:
-        raise ConfigError(
-            f"outage level {outage_level!r} is too small to invert in double precision: "
-            f"(1 - eta)^(1/{n_eves}) rounds to 1"
-        )
-    return m * (per_eve_tail ** (-1.0 / m) - 1.0)
+        log_level = math.log(outage_level)
+
+        def exceeds(t):
+            value, in_log = _colluding_tail(np.asarray(t), n_antennas, n_eves)
+            return float(value) > (log_level if in_log else outage_level)
+
+        x = m * _bisect_decreasing(exceeds)
+    else:  # 0 when (1 - eta)^(1/n_eves) rounds to 1
+        per_eve_tail = 1.0 - (1.0 - outage_level) ** (1.0 / n_eves)
+        x = m * (per_eve_tail ** (-1.0 / m) - 1.0) if per_eve_tail else math.inf
+    if x == math.inf:
+        raise ConfigError(f"outage level {outage_level!r} is too small to invert in double "
+                          "precision: no finite leakage threshold meets it")
+    return x
 
 
 def rate_cost_table(ratio_grid, regime: SecrecyRegime, n_antennas: int, n_eves: int) -> np.ndarray:
@@ -152,14 +185,17 @@ def rate_cost_table(ratio_grid, regime: SecrecyRegime, n_antennas: int, n_eves: 
     """
     if regime.csi != PARTIAL:
         raise ConfigError("rate-cost tables only apply under partial CSI")
+    return np.array(_rate_costs(ratio_grid, regime.eta, n_antennas, n_eves, regime.colluding))
+
+
+def _rate_costs(ratio_grid, outage_level, n_antennas, n_eves, colluding) -> list[float]:
+    """`rate_cost_table`'s entries, for the table and the scalar costs alike."""
     fractions = [float(e) for e in ratio_grid]
-    return np.array(_rate_costs(fractions, regime.eta, n_antennas, n_eves, regime.colluding))
-
-
-def _rate_costs(fractions: list, outage_level, n_antennas, n_eves, colluding) -> list[float]:
-    """`rate_cost_table`'s entries; the scalar costs pass their fraction unconverted."""
-    for e in fractions:
-        _check_inversion_args(e, outage_level, n_antennas, n_eves, colluding)
+    for e in fractions:  # each fraction with the design that prices it
+        if not 0.0 <= e <= 1.0:
+            raise ValueError(f"data fraction must lie in [0, 1], got {e}")
+        SecrecyRegime(PARTIAL, colluding, outage_level)  # the eta rule
+        check_outage_design(n_antennas, n_eves, colluding)
     if any(0.0 < e < 1.0 for e in fractions):  # x is read only at interior fractions
         x = leakage_threshold(outage_level, n_antennas, n_eves, colluding)
     return [0.0 if e == 0.0 else math.inf if e == 1.0
@@ -174,18 +210,20 @@ def rate_cost_noncolluding(data_fraction: float, outage_level: float,
 
 def rate_cost_noncolluding_bisect(data_fraction: float, outage_level: float,
                                   n_antennas: int, n_eves: int) -> float:
-    """Numerical fallback for `rate_cost_noncolluding`; verifies the closed form."""
-    _check_inversion_args(data_fraction, outage_level, n_antennas, n_eves)
-    if data_fraction == 0.0:
+    """Numerical fallback for `rate_cost_noncolluding`; verifies the closed form.  It refuses
+    what that form refuses, below which its miss probability cannot resolve eta either."""
+    rate_cost_noncolluding(data_fraction, outage_level, n_antennas, n_eves)
+    fraction = float(data_fraction)
+    if fraction == 0.0:
         return 0.0
-    if data_fraction == 1.0:
+    if fraction == 1.0:
         return math.inf
 
     def miss(rate):
-        x = (2.0**rate - 1.0) * (1.0 - data_fraction) / data_fraction
+        x = (2.0**rate - 1.0) * (1.0 - fraction) / fraction
         return 1.0 - noncolluding_outage_cdf(x, n_antennas) ** n_eves
 
-    return _bisect_decreasing(miss, outage_level)
+    return _bisect_decreasing(lambda rate: miss(rate) > outage_level)
 
 
 def rate_cost_colluding(data_fraction: float, outage_level: float,
@@ -230,10 +268,7 @@ def _beam_components(legit: np.ndarray, eves: np.ndarray):
     legit: (..., K, n); eves: (..., n_eves, n).  Returns shapes (..., K) and
     (..., K, n_eves).
     """
-    n = legit.shape[-1]
-    if n < 2:
-        raise ValueError(f"need at least 2 antennas, got {n}")
-    if eves.shape[-1] != n:
+    if eves.shape[-1] != legit.shape[-1]:
         raise ValueError("user and eavesdropper rows disagree on antenna count")
     gain = np.sum(legit.real**2 + legit.imag**2, axis=-1)
     if np.any(gain == 0.0):
@@ -264,8 +299,7 @@ def channel_stats(legit: np.ndarray, eves: np.ndarray, colluding: bool) -> Chann
     legit = np.asarray(legit, dtype=complex)
     eves = np.asarray(eves, dtype=complex)
     n = legit.shape[-1]
-    if colluding and eves.shape[-2] >= n:
-        raise ConfigError("colluding analysis needs fewer eavesdroppers than transmit antennas")
+    check_outage_design(n, eves.shape[-2], colluding)
     gain, beam_comp = _beam_components(legit, eves)
     beam_leak = beam_comp.real**2 + beam_comp.imag**2
     eve_norm = np.sum(eves.real**2 + eves.imag**2, axis=-1)
@@ -406,37 +440,24 @@ def calibrate_outage(n_antennas: int, n_eves: int, eta: float, colluding: bool,
     """
     if samples < 10_000:
         raise ConfigError(f"need at least 10000 samples for a meaningful estimate, got {samples}")
-    if not 0.0 < eta < 1.0:
-        raise ConfigError(f"outage level must lie in (0, 1), got {eta}")
-    if n_eves < 1 or n_antennas < 2:
-        raise ConfigError("need at least one eavesdropper and two antennas")
-    if colluding and n_antennas <= n_eves:
-        raise ConfigError("colluding analysis needs fewer eavesdroppers than transmit antennas")
+    regime = SecrecyRegime(PARTIAL, colluding, eta)
+    check_outage_design(n_antennas, n_eves, colluding)
     interior = [float(e) for e in ratio_grid if 0.0 < float(e) < 1.0]
     if not interior:
         raise ConfigError("the ratio grid has no interior points to calibrate")
-    costs = rate_cost_table(interior, SecrecyRegime(PARTIAL, colluding, eta), n_antennas, n_eves)
+    costs = rate_cost_table(interior, regime, n_antennas, n_eves)
     streams = RngStreams(seed)
     stderr = math.sqrt(eta * (1.0 - eta) / samples)
     rows = []
     for eps, cost in zip(interior, costs.tolist()):
         exceed = 0
-        remaining = samples
-        while remaining > 0:
-            count = min(_CALIBRATION_CHUNK, remaining)
+        for start in range(0, samples, _CALIBRATION_CHUNK):
+            count = min(_CALIBRATION_CHUNK, samples - start)
             legit = sample_complex_gaussian((count, 1, n_antennas), streams.legit)
             eves = sample_complex_gaussian((count, n_eves, n_antennas), streams.eves)
             bound = noise_free_bound(legit, eves, eps, colluding)[:, 0]
             exceed += int(np.count_nonzero(bound > cost))
-            remaining -= count
         estimate = exceed / samples
-        rows.append(OutageCalibrationRow(
-            epsilon=eps,
-            rate_cost=cost,
-            eta_target=eta,
-            eta_estimate=estimate,
-            stderr=stderr,
-            n_samples=samples,
-            passed=abs(estimate - eta) <= 3.0 * stderr,
-        ))
+        rows.append(OutageCalibrationRow(eps, cost, eta, estimate, stderr, samples,
+                                         passed=abs(estimate - eta) <= 3.0 * stderr))
     return rows

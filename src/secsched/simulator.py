@@ -39,6 +39,7 @@ from .secrecy import (
     SecrecyRegime,
     capacity_grids,
     channel_stats,
+    check_outage_design,
     eve_capacity,
     legit_capacity_grid,
     rate_cost_table,
@@ -81,6 +82,15 @@ _GRIDS = ("power_grid", "ratio_grid")
 # theta's default, one unit priority per user, filled in on construction.  It is
 # not None, so an explicit None (a JSON null) is a mistyped theta.
 _ONE_PER_USER = object()
+
+
+def _refusal(rule, *args) -> list[str]:
+    """The message of the ConfigError that rule(*args) raises, if any."""
+    try:
+        rule(*args)
+    except ConfigError as exc:
+        return [str(exc)]
+    return []
 
 
 def _as_float(value) -> float:
@@ -137,16 +147,11 @@ class ScenarioConfig:
                     for f in fields(self) if not _FIELD_TYPES[f.type][0](getattr(self, f.name))]
         if problems:  # the range checks below compare the fields
             raise ConfigError("; ".join(problems))
-        for name, least in (("n_antennas", 2), ("n_eves", 1), ("n_users", 1), ("n_slots", 1)):
-            if getattr(self, name) < least:
-                problems.append(f"{name} must be an integer >= {least}, "
-                                f"got {getattr(self, name)!r}")
-        if self.colluding and self.n_antennas <= self.n_eves:
-            problems.append("colluding eavesdroppers require n_antennas > n_eves")
-        try:
-            self.regime  # SecrecyRegime holds the csi/eta rule
-        except ConfigError as exc:
-            problems.append(str(exc))
+        problems += _refusal(check_outage_design, self.n_antennas, self.n_eves, self.colluding)
+        for name in ("n_users", "n_slots"):
+            if getattr(self, name) < 1:
+                problems.append(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        problems += _refusal(SecrecyRegime, self.csi, self.colluding, self.eta)  # csi/eta rule
         if not 0 < self.v < math.inf:
             problems.append(f"v must be positive and finite, got {self.v!r}")
         if len(self.theta) != self.n_users or not all(0 < t < math.inf for t in self.theta):
@@ -178,6 +183,9 @@ class ScenarioConfig:
             problems.append(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not problems:
             problems += self._score_overflow()
+        if not problems and self.csi == PARTIAL:  # the design must price on its own grid
+            problems += _refusal(rate_cost_table, self.ratio_grid, self.regime,
+                                 self.n_antennas, self.n_eves)
         if problems:
             raise ConfigError("; ".join(problems))
         return self
@@ -372,9 +380,8 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
     power = np.asarray(config.power_grid)
     fraction = np.asarray(config.ratio_grid)
     positive = power > 0
-    cost_table = None
-    if regime.csi == PARTIAL:
-        cost_table = rate_cost_table(fraction, regime, config.n_antennas, config.n_eves)
+    cost_table = (rate_cost_table(fraction, regime, config.n_antennas, config.n_eves)
+                  if regime.csi == PARTIAL else None)
 
     streams = RngStreams(config.seed)
     power_levels = list(config.power_grid)

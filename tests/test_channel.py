@@ -9,15 +9,13 @@ import pytest
 import scipy.linalg
 
 from secsched import (
-    ChannelRealization,
     DegenerateChannelError,
     RngStreams,
     beamforming_basis,
     sample_complex_gaussian,
-    sample_realization,
     sample_realization_batch,
 )
-from secsched.oracle import beamforming_bases
+from secsched.oracle import ChannelRealization, beamforming_bases, sample_realization
 
 
 def test_same_seed_reproduces_draws():

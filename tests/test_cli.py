@@ -408,6 +408,15 @@ def test_sweep_eta_axis(tmp_path):
     assert len(_read_csv(out)) == 3
 
 
+def test_sweep_refuses_an_uninvertible_point_before_writing(tmp_path, capsys):
+    cfg = _write_sweep(tmp_path / "s.json", "eta", [0.1, 1e-300],
+                       base_overrides={"csi": "partial", "n_slots": 100})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert "outage level 1e-300" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_config_errors(tmp_path, capsys):
     bad_axis = _write_sweep(tmp_path / "a.json", "p_av", [100.0])
     assert main(["sweep", "--config", bad_axis]) == 1

@@ -111,3 +111,50 @@ def test_only_the_threshold_and_the_oracle_bisect_a_tail():
                    for n in ast.walk(top)):
                 callers.add(getattr(top, "name", f"{path.stem} module level"))
     assert callers == {"leakage_threshold", "rate_cost_noncolluding_bisect"}
+
+
+# Each outage-design rule as the operands its comparison reads: a name (or an
+# attribute's last part) from the first set against every constant of the second.
+_DESIGN_RULES = {
+    "n_antennas against n_eves": ({"n_antennas"}, {"n_eves"}),
+    "n_antennas against 2": ({"n_antennas", "n"}, {2}),
+    "n_eves against 1": ({"n_eves"}, {1}),
+    "eta against (0, 1)": ({"eta", "outage_level"}, {0.0, 1.0}),
+}
+
+
+def _operand_tokens(compare: ast.Compare) -> set:
+    tokens = set()
+    for operand in [compare.left, *compare.comparators]:
+        if isinstance(operand, ast.Name):
+            tokens.add(operand.id)
+        elif isinstance(operand, ast.Attribute):
+            tokens.add(operand.attr)
+        elif isinstance(operand, ast.Constant) and not isinstance(operand.value, bool):
+            tokens.add(operand.value)
+    return tokens
+
+
+def _functions(path: Path):
+    """(qualified name, node) of every top-level function and method in `path`."""
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.FunctionDef):
+            yield f"{path.stem}.{top.name}", top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{path.stem}.{top.name}.{node.name}", node
+
+
+@pytest.mark.parametrize("rule", sorted(_DESIGN_RULES))
+def test_each_outage_design_rule_is_written_once(rule):
+    names, others = _DESIGN_RULES[rule]
+    writers = set()
+    for module in ("channel", "control", "secrecy", "simulator", "cli"):
+        for qualified, function in _functions(PACKAGE / f"{module}.py"):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Compare):
+                    tokens = _operand_tokens(node)
+                    if tokens & names and others <= tokens:
+                        writers.add(qualified)
+    assert len(writers) == 1, writers

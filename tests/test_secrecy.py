@@ -3,7 +3,10 @@
 Closed forms are pinned to hand-computed values and cross-checked against
 independent numerical paths (log-det oracle, projector identity, bisection).
 """
+import itertools
 import math
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +18,7 @@ from secsched import (
     ConfigError,
     DegenerateChannelError,
     RngStreams,
+    ScenarioConfig,
     SecrecyRegime,
     TransmitParams,
     beamforming_basis,
@@ -35,7 +39,7 @@ from secsched import (
     secrecy_rate,
 )
 from secsched import secrecy
-from secsched.channel import ChannelRealization
+from secsched.oracle import ChannelRealization
 from secsched.secrecy import (
     capacity_grids,
     channel_stats,
@@ -367,6 +371,79 @@ def test_rate_cost_boundaries_skip_the_inversion():
     assert rate_cost_noncolluding(1.0, 1e-300, 6, 3) == math.inf
     with pytest.raises(ConfigError, match="too small to invert"):
         rate_cost_noncolluding(0.5, 1e-300, 6, 3)
+
+
+def _log_colluding_tail(t, n_antennas, n_eves):
+    """Log of the colluding tail at t > 0 from lgamma and log1p: the reference."""
+    m = n_antennas - 1
+    terms = [math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1) + k * math.log(t)
+             for k in range(n_eves)]
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(v - top) for v in terms)) - m * math.log1p(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(design=st.integers(2, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+       log_eta=st.floats(-320.0, -1.0))
+def test_colluding_threshold_meets_eta_or_refuses(design, log_eta):
+    # past the double range the linear tail underflows; the threshold must
+    # still meet eta, or no finite threshold may exist
+    n, n_eves = design
+    eta, m = 10.0**log_eta, n - 1
+    try:
+        x = secrecy.leakage_threshold(eta, n, n_eves, colluding=True)
+    except ConfigError:
+        assert _log_colluding_tail(sys.float_info.max / m, n, n_eves) > math.log(eta) - 1e-9
+        return
+    assert abs(math.expm1(_log_colluding_tail(x / m, n, n_eves) - math.log(eta))) < 1e-9
+
+
+@pytest.mark.parametrize("n,n_eves", [(2000, 1500), (10**9 + 1, 10**9)])
+def test_large_colluding_designs_price_or_refuse_quickly(n, n_eves):
+    start = time.perf_counter()
+    try:
+        x = secrecy.leakage_threshold(0.1, n, n_eves, colluding=True)
+    except ConfigError:
+        x = None
+    assert time.perf_counter() - start < 1.0
+    if x is not None:
+        assert abs(math.expm1(_log_colluding_tail(x / (n - 1), n, n_eves) - math.log(0.1))) < 1e-9
+
+
+@pytest.mark.parametrize("colluding", [False, True])
+@pytest.mark.parametrize("fraction", [np.float32(0.3), np.float16(0.3), np.float64(0.3), 0.3, 0, 1])
+def test_scalar_costs_convert_the_fraction_as_the_table_does(fraction, colluding):
+    table = rate_cost_table([fraction], SecrecyRegime("partial", colluding, 0.1), 6, 3)
+    fn = rate_cost_colluding if colluding else rate_cost_noncolluding
+    assert fn(fraction, 0.1, 6, 3) == table[0]
+
+
+def _refuses(call) -> bool:
+    try:
+        call()
+    except ConfigError:
+        return True
+    return False
+
+
+def test_every_outage_design_check_agrees():
+    # the config, the table, the threshold, the scalar costs and the
+    # calibration accept the same designs; any other exception fails the test
+    grid = tuple(i / 20 for i in range(21))
+    etas = (-0.1, 0.0, 1e-300, 1e-200, 1e-40, 0.1, 1.0, 1.5)
+    for n, n_eves, colluding, eta in itertools.product(range(8), range(8), (False, True), etas):
+        calls = [
+            lambda: ScenarioConfig(n_antennas=n, n_eves=n_eves, colluding=colluding,
+                                   csi="partial", eta=eta).validate(),
+            lambda: rate_cost_table(grid, SecrecyRegime("partial", colluding, eta), n, n_eves),
+            lambda: secrecy.leakage_threshold(eta, n, n_eves, colluding),
+            lambda: calibrate_outage(n, n_eves, eta, colluding, (0.5,), samples=10_000, seed=0),
+        ]
+        calls += [lambda fn=fn: fn(0.5, eta, n, n_eves) for fn in
+                  ([rate_cost_colluding] if colluding
+                   else [rate_cost_noncolluding, rate_cost_noncolluding_bisect])]
+        outcomes = [_refuses(call) for call in calls]
+        assert len(set(outcomes)) == 1, (n, n_eves, colluding, eta, outcomes)
 
 
 # --- grid kernels vs the scalar path ------------------------------------------

@@ -76,6 +76,14 @@ def test_validate_specific_rules():
     ScenarioConfig(csi="partial", eta=0.3).validate()
 
 
+def test_validate_prices_the_partial_design():
+    # the config refuses what its own rate-cost table refuses, before any run
+    with pytest.raises(ConfigError, match="outage level 1e-300 is too small"):
+        ScenarioConfig(csi="partial", eta=1e-300).validate()
+    ScenarioConfig(csi="partial", eta=1e-300, ratio_grid=(0.0, 1.0)).validate()
+    ScenarioConfig(csi="partial", eta=1e-300, colluding=True).validate()  # log-form tail
+
+
 def test_validate_rejects_non_finite_values():
     # max() skips a NaN that is not first and NaN <= 0 is False, so the
     # priorities need an explicit finiteness check
