@@ -74,7 +74,7 @@ def noncolluding_outage_cdf(x, n_antennas: int):
     if np.any(arr < 0):
         raise ValueError("the leakage ratio is nonnegative")
     m = n_antennas - 1
-    out = 1.0 - float(m) ** m * (arr + m) ** (1 - n_antennas)
+    out = 1.0 - (m / (arr + m)) ** m  # m**m itself overflows from m = 144 on
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -319,18 +319,15 @@ def channel_stats(legit: np.ndarray, eves: np.ndarray, colluding: bool) -> Chann
     )
 
 
-def legit_capacity_grid(legit_gain: np.ndarray, power_grid, ratio_grid,
+def legit_capacity_grid(legit_gain: np.ndarray, power: np.ndarray, fraction: np.ndarray,
                         out: np.ndarray | None = None) -> np.ndarray:
-    """Intended receivers' rates for every (power, data fraction) pair.
+    """Intended receivers' rates log2(1 + P e ||h||^2).
 
     Needs only the squared channel norms, since artificial noise is invisible
-    to the intended receiver.  Shape legit_gain.shape + (n_powers, n_fractions),
-    written to `out` when given.
+    to the intended receiver.  `power`, `fraction` and `out` work as in
+    `eve_capacity`, so the run's audit of one chosen pair equals the grid.
     """
-    power = np.asarray(power_grid, dtype=float)
-    fraction = np.asarray(ratio_grid, dtype=float)
-    data_power = power[:, None] * fraction[None, :]
-    return np.log2(1.0 + data_power * legit_gain[..., None, None], out=out)
+    return np.log2(1.0 + power * fraction * legit_gain[..., None, None], out=out)
 
 
 def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.ndarray):
@@ -348,9 +345,9 @@ def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.n
     idle = len(power) - len(np.trim_zeros(power, "f"))
     cap_users[..., :idle, :] = 0.0
     cap_eves[..., :idle, :] = 0.0
-    power = power[idle:]
+    power = power[idle:, None]
     legit_capacity_grid(stats.legit_gain, power, fraction, out=cap_users[..., idle:, :])
-    eve_capacity(stats, power[:, None], fraction, out=cap_eves[..., idle:, :])
+    eve_capacity(stats, power, fraction, out=cap_eves[..., idle:, :])
     return cap_users, cap_eves
 
 
@@ -360,8 +357,8 @@ def eve_capacity(stats: ChannelStats, power: np.ndarray, fraction: np.ndarray,
 
     `power` and `fraction` broadcast against the result's shape
     stats.legit_gain.shape + (n_powers, n_fractions), which is written to
-    `out` when given; the partial-CSI audit passes each slot's chosen pair as
-    a 1 x 1 grid.  Eavesdroppers are folded in index order (a running max or
+    `out` when given; the run's audit passes each slot's chosen pair as a
+    1 x 1 grid.  Eavesdroppers are folded in index order (a running max or
     sum), never reduced as an axis, which numpy may sum pairwise: a value does
     not depend on the grid around it, so the audit equals `capacity_grids`.
     """

@@ -15,9 +15,13 @@ three steps:
 * sequential: only the queue recursion in Python floats, serving the best
   of the K x |P| cells per slot (`_choose_action`);
 * batched again: the chunk's `SlotTrace` columns, with the audit of the
-  chosen actions (eavesdropper capacity, rate cost, outage; under partial CSI
-  only the audit reads the eavesdroppers, and only for the chosen action).
-  The cap check, every metric and the trace are slot-order reductions of them.
+  chosen actions (codeword rate, eavesdropper capacity, rate cost, outage),
+  which evaluates the capacity kernels at each chosen action alone, so only
+  the secrecy-rate grid crosses the recursion.  The cap check, every metric
+  and the trace are slot-order reductions of them.
+
+A chunk holds at most `_CHUNK` slots, and fewer when its slots would hold
+more than `_CHUNK_DOUBLES` doubles (`ScenarioConfig._slot_doubles`).
 
 Randomness comes from three named substreams of the run seed (legitimate
 channels, eavesdropper channels, arrivals), so the same seed reproduces a run
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -47,6 +51,7 @@ from .secrecy import (
 )
 
 _CHUNK = 4096
+_CHUNK_DOUBLES = 2**21  # 16 MiB of float64 per chunk, counted by `_slot_doubles`
 
 # Secrecy rates are log2 of finite doubles, so every one lies below this.
 _RATE_CEILING = 1024.0
@@ -131,8 +136,9 @@ class ScenarioConfig:
     def __post_init__(self):
         """Normalise the well-typed fields: floats to float, lists to float
         tuples, grids sorted.  A mistyped field is left for `validate` to name."""
-        if self.theta is _ONE_PER_USER:
-            self.theta = (1.0,) * self.n_users if _is_int(self.n_users) else ()
+        if self.theta is _ONE_PER_USER:  # a user takes at least one double of a slot
+            fits = _is_int(self.n_users) and self.n_users <= _CHUNK_DOUBLES
+            self.theta = (1.0,) * self.n_users if fits else ()
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and _is_number(value):
@@ -148,6 +154,13 @@ class ScenarioConfig:
         if problems:  # the range checks below compare the fields
             raise ConfigError("; ".join(problems))
         problems += _refusal(check_outage_design, self.n_antennas, self.n_eves, self.colluding)
+        if self._slot_doubles() > _CHUNK_DOUBLES:
+            problems.append(
+                f"one slot needs {self._slot_doubles()} doubles, n_users*len(power_grid)*"
+                "len(ratio_grid) + 2*n_antennas*(n_users + n_eves)"
+                f"{' + 2*n_users*n_eves**2' if self.colluding else ''}, more than the "
+                f"{_CHUNK_DOUBLES} of a chunk"
+            )
         for name in ("n_users", "n_slots"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
@@ -189,6 +202,14 @@ class ScenarioConfig:
         if problems:
             raise ConfigError("; ".join(problems))
         return self
+
+    def _slot_doubles(self) -> int:
+        """Doubles one slot holds in a chunk: its K x |P| x |F| grid, its complex
+        channel rows and, when colluding, its K noise Grams of N_E x N_E."""
+        k, n_eves = self.n_users, self.n_eves
+        grams = 2 * k * n_eves * n_eves if self.colluding else 0
+        return (k * len(self.power_grid) * len(self.ratio_grid)
+                + 2 * self.n_antennas * (k + n_eves) + grams)
 
     def _score_overflow(self) -> list[str]:
         """The slot score U*r - X*P and the run's sums must stay finite.
@@ -282,40 +303,41 @@ def sample_arrivals(config, rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _rate_grids(legit, eves, regime: SecrecyRegime, power, fraction, cost_table):
-    """Codeword-rate, eavesdropper-capacity and secrecy-rate grids of one chunk.
+    """Secrecy-rate grid of one chunk and the channel statistics it was priced at.
 
     Each secrecy rate is priced at the eavesdropper grid, or under partial CSI
     at the rate-cost table: then it reads only the users' gains ||h||^2 (the
-    expression of `channel_stats`) and the eavesdropper grid is None.
+    expression of `channel_stats`) and the statistics are None.
     """
     if regime.csi == PARTIAL:
         gain = np.sum(legit.real**2 + legit.imag**2, axis=-1)
-        cap_users = legit_capacity_grid(gain, power, fraction)
-        return cap_users, None, secrecy_rate_grid(cap_users, cost_table)
+        return secrecy_rate_grid(legit_capacity_grid(gain, power[:, None], fraction),
+                                 cost_table), None
     stats = channel_stats(legit, eves, regime.colluding)
-    cap_users, cap_eves = capacity_grids(stats, power, fraction)
-    return cap_users, cap_eves, secrecy_rate_grid(cap_users, cap_eves)
+    return secrecy_rate_grid(*capacity_grids(stats, power, fraction)), stats
 
 
-def _eavesdropper_audit(legit, eves, cap_eves, regime: SecrecyRegime, power, fraction,
-                        cost_table, user, p_idx, f_idx):
-    """Realized eavesdropper capacity and rate cost of each slot's chosen action.
+def _audit(legit, eves, stats, regime: SecrecyRegime, power, fraction, cost_table,
+           user, p_idx, f_idx):
+    """Codeword rate, eavesdropper capacity and rate cost of each slot's chosen action.
 
-    Instantaneous CSI gathers both from the full grid.  Under partial CSI the
-    cost is the pre-inverted table entry of the chosen fraction, and the
-    capacity is the grid's kernel `eve_capacity` at the chosen (power,
-    fraction) alone, from the served user's channel row, for the slots that
-    transmit: a zero-power action leaks log2(1 + 0) = 0.
+    Both rates are the grid's kernels at the chosen (power, fraction) alone, on
+    the served user's statistics (the chunk's rows, or under partial CSI those
+    of its channel row), for the slots that transmit: a zero-power action has
+    rate log2(1 + 0) = 0.  The cost is the eavesdropper capacity, or under
+    partial CSI the pre-inverted table entry of the chosen fraction.
     """
-    if regime.csi == INSTANTANEOUS:
-        eve = cap_eves[np.arange(len(user)), user, p_idx, f_idx]
-        return eve, eve
     sent = np.flatnonzero(power[p_idx] > 0.0)
-    stats = channel_stats(legit[sent, user[sent]][:, None, :], eves[sent], regime.colluding)
-    eve = np.zeros(len(user))
-    eve[sent] = eve_capacity(stats, power[p_idx[sent], None, None, None],
-                             fraction[f_idx[sent], None, None, None])[:, 0, 0, 0]
-    return eve, cost_table[f_idx]
+    if stats is None:
+        stats = channel_stats(legit[sent, user[sent]][:, None, :], eves[sent], regime.colluding)
+    else:
+        stats = replace(stats, **{name: rows[sent, user[sent]][:, None] for name, rows
+                                  in vars(stats).items() if isinstance(rows, np.ndarray)})
+    chosen = power[p_idx[sent], None, None, None], fraction[f_idx[sent], None, None, None]
+    codeword, eve = np.zeros(len(user)), np.zeros(len(user))
+    codeword[sent] = legit_capacity_grid(stats.legit_gain, *chosen)[:, 0, 0, 0]
+    eve[sent] = eve_capacity(stats, *chosen)[:, 0, 0, 0]
+    return codeword, eve, eve if regime.csi == INSTANTANEOUS else cost_table[f_idx]
 
 
 def _best_fractions(rates: np.ndarray):
@@ -398,13 +420,13 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
     gamma = 0.0
     trace = SlotTrace.empty(config.n_slots, k) if collect_trace else None
 
+    chunk = min(_CHUNK, _CHUNK_DOUBLES // config._slot_doubles())
     done = 0
     while done < config.n_slots:
-        count = min(_CHUNK, config.n_slots - done)
+        count = min(chunk, config.n_slots - done)
         legit, eves = sample_realization_batch(config, streams, count)
         arrivals = sample_arrivals(config, streams.arrivals, count)
-        cap_users, cap_eves, rates = _rate_grids(legit, eves, regime, power, fraction,
-                                                 cost_table)
+        rates, stats = _rate_grids(legit, eves, regime, power, fraction, cost_table)
         best_f, best_rate, earlier = _best_fractions(rates)
         if np.any(positive):
             # r / P rounds monotonically in r, so the best fraction gives the maximum
@@ -440,14 +462,14 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         # eavesdropper could have decoded.
         user, p_idx, f_idx, slot_rate = (np.array(column) for column in zip(*chosen))
         levels = np.array(levels).reshape(count + 1, k)
-        eve, cost = _eavesdropper_audit(legit, eves, cap_eves, regime, power, fraction,
-                                        cost_table, user, p_idx, f_idx)
+        codeword, eve, cost = _audit(legit, eves, stats, regime, power, fraction, cost_table,
+                                     user, p_idx, f_idx)
         transmit = slot_rate > 0.0
         columns = SlotTrace(
             slot=np.arange(done, done + count), arrival=arrivals,
             admitted=np.array(admissions).reshape(count, k),
             user=user, power=power[p_idx], data_fraction=fraction[f_idx],
-            codeword_rate=cap_users[np.arange(count), user, p_idx, f_idx],
+            codeword_rate=codeword,
             rate_cost=cost, secrecy_rate=slot_rate, eavesdropper_capacity=eve,
             outage=transmit & (eve > cost), queue=levels[1:],
             power_queue=np.array(power_queue_rows),
@@ -478,7 +500,7 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
                 getattr(trace, field.name)[done:done + count] = getattr(columns, field.name)
         done += count
         # Release this chunk's grids before the next chunk builds its own.
-        del legit, eves, cap_users, cap_eves, rates
+        del legit, eves, stats, rates
 
     t_total = config.n_slots
     transmit_slots = int(served_slots.sum())

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secsched import ScenarioConfig, SlotTrace, run
+import secsched.simulator as simulator
+from secsched import ScenarioConfig, SlotTrace, run, sample_realization_batch
 from secsched.cli import main
 
 BASE = {
@@ -279,6 +280,24 @@ def test_usage_errors_exit_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["run", "--config", "x.json", "--seed", "notanint"]) == 1
     capsys.readouterr()
+
+
+def test_run_bounds_the_chunk_of_a_large_grid(tmp_path, monkeypatch):
+    # 64 users x 11 powers x 101 fractions: a 4096-slot chunk would hold
+    # three 2.2 GiB grids, so the chunk shrinks to the memory budget; one
+    # slot holds 64*11*101 + 2*6*(64 + 3) = 71 908 doubles
+    counts = []
+
+    def sample(config, streams, count):
+        counts.append(count)
+        return sample_realization_batch(config, streams, count)
+
+    monkeypatch.setattr(simulator, "sample_realization_batch", sample)
+    cfg = _write_config(tmp_path / "c.json", n_users=64, theta=[1.0] * 64,
+                        power_grid=[30.0 * i for i in range(11)],
+                        ratio_grid=[i / 100 for i in range(101)], n_slots=200)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    assert sum(counts) == 200 and max(counts) * 71_908 <= simulator._CHUNK_DOUBLES
 
 
 def test_run_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):

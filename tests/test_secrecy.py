@@ -44,6 +44,7 @@ from secsched.secrecy import (
     capacity_grids,
     channel_stats,
     eve_capacity,
+    legit_capacity_grid,
     noise_free_bound,
     secrecy_rate_grid,
 )
@@ -290,6 +291,15 @@ def test_rate_cost_closed_form_matches_bisection():
             b = rate_cost_noncolluding_bisect(float(eps), eta, 6, 3)
             worst = max(worst, abs(a - b))
     assert worst < 1e-10
+
+
+def test_noncolluding_law_inverts_at_many_antennas():
+    # m**m overflows a double from n_antennas = 145 on; the law and its
+    # bisection must not
+    assert noncolluding_outage_cdf(1.0, 200) == pytest.approx(1.0 - (199 / 200) ** 199)
+    for eps in (0.1, 0.5, 0.9):
+        closed = rate_cost_noncolluding(eps, 0.1, 200, 3)
+        assert rate_cost_noncolluding_bisect(eps, 0.1, 200, 3) == pytest.approx(closed, rel=1e-9)
 
 
 def test_rate_cost_roundtrips_through_the_laws():
@@ -550,21 +560,24 @@ def test_null_leak_cancellation_bound(n):
     pytest.param(10, 9, False, id="False-10x9"), pytest.param(10, 9, True, id="True-10x9"),
 ])
 def test_pointwise_eve_capacity_equals_the_grid(n, n_eves, colluding):
-    # the partial-CSI audit evaluates one (power, fraction) pair per slot; it
-    # must reproduce the grid entry of that pair bit for bit, also when there
-    # are enough colluding eavesdroppers (8 or more) for numpy to sum an
-    # eavesdropper axis pairwise
+    # the run's audit evaluates both kernels at one (power, fraction) pair per
+    # slot; each must reproduce the grid entry of that pair bit for bit, also
+    # when there are enough colluding eavesdroppers (8 or more) for numpy to
+    # sum an eavesdropper axis pairwise
     s = RngStreams(7)
     legit = sample_complex_gaussian((500, 1, n), s.legit)
     eves = sample_complex_gaussian((500, n_eves, n), s.eves)
     stats = channel_stats(legit, eves, colluding)
     power = np.array([0.0, 100.0, 200.0, 300.0])
     fraction = np.linspace(0.0, 1.0, 21)
-    grid = capacity_grids(stats, power, fraction)[1]
+    legit_grid, grid = capacity_grids(stats, power, fraction)
     pick = np.random.default_rng(3)
     p_idx, f_idx = pick.integers(0, 4, 500), pick.integers(0, 21, 500)
-    point = eve_capacity(stats, power[p_idx, None, None, None], fraction[f_idx, None, None, None])
+    chosen = power[p_idx, None, None, None], fraction[f_idx, None, None, None]
+    point = eve_capacity(stats, *chosen)
     assert np.array_equal(point[:, 0, 0, 0], grid[np.arange(500), 0, p_idx, f_idx])
+    legit_point = legit_capacity_grid(stats.legit_gain, *chosen)
+    assert np.array_equal(legit_point[:, 0, 0, 0], legit_grid[np.arange(500), 0, p_idx, f_idx])
 
 
 def test_channel_stats_validation():

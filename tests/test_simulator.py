@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import math
 import operator
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -146,10 +147,6 @@ def test_any_field_values_validate_or_raise_config_error(data):
     names = data.draw(st.lists(st.sampled_from(_FIELD_NAMES), min_size=1, max_size=2,
                                unique=True))
     overrides = {name: data.draw(_ANY_VALUE, label=name) for name in names}
-    if type(overrides.get("n_users")) is int and "theta" not in overrides:
-        # an omitted theta becomes n_users ones on construction, a tuple as
-        # long as n_users: keep it small enough to allocate
-        overrides["n_users"] = min(overrides["n_users"], 64)
     config = ScenarioConfig(**overrides)
     try:
         config.validate()
@@ -171,6 +168,15 @@ def test_validate_rejects_overflowing_scores():
         ScenarioConfig(a_max=2**63).validate()
     ScenarioConfig(a_max=2**63 - 1).validate()
     ScenarioConfig(csi="partial", eta=0.1, colluding=True).validate()
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_users=2**70), dict(n_users=10**9), dict(n_antennas=10**400, csi="partial", eta=0.1),
+], ids=["n_users-2**70", "n_users-10**9", "partial-n_antennas-10**400"])
+def test_a_slot_beyond_the_chunk_budget_is_refused(overrides):
+    # refused by its size before theta is filled or the partial design priced
+    with pytest.raises(ConfigError, match=r"one slot needs \d+ doubles, n_users\*len"):
+        ScenarioConfig(**overrides).validate()
 
 
 def test_run_rejects_invalid_config():
@@ -470,6 +476,47 @@ def test_results_do_not_depend_on_chunk_size(config, monkeypatch):
         runs.append(run(config, collect_trace=True))
     for other in runs[1:]:
         _assert_same_run(runs[0], other)
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(arrival_mean=15.0, n_slots=600, seed=8),
+    ScenarioConfig(colluding=True, n_slots=600, seed=8),
+    ScenarioConfig(csi="partial", eta=0.3, colluding=True, n_slots=600, seed=8),
+], ids=["instantaneous-noncolluding", "instantaneous-colluding", "partial-colluding"])
+def test_a_chunk_bounded_by_memory_changes_no_result(config, monkeypatch):
+    unbounded = run(config, collect_trace=True)
+    counts = []
+
+    def sample(config, streams, count):
+        counts.append(count)
+        return sample_realization_batch(config, streams, count)
+
+    monkeypatch.setattr(simulator, "sample_realization_batch", sample)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 7 * config._slot_doubles() + 1)
+    _assert_same_run(unbounded, run(config, collect_trace=True))
+    assert counts == [7] * 85 + [5]
+
+
+@pytest.mark.parametrize("colluding", [False, True],
+                         ids=["instantaneous-noncolluding", "instantaneous-colluding"])
+def test_only_the_rate_grid_crosses_the_recursion(colluding, monkeypatch):
+    grids, alive = [], []
+
+    def recorded(*args):
+        result = capacity_grids(*args)
+        grids.extend(weakref.ref(grid) for grid in result)
+        return result
+
+    def choose(*args):
+        if not alive:
+            alive.append([ref() is not None for ref in grids])
+        return choose_action(*args)
+
+    choose_action = simulator._choose_action
+    monkeypatch.setattr(simulator, "capacity_grids", recorded)
+    monkeypatch.setattr(simulator, "_choose_action", choose)
+    run(_small(n_slots=50, colluding=colluding))
+    assert alive == [[False, False]]
 
 
 _REGIMES = [("instantaneous", False, 0.0), ("instantaneous", True, 0.0),
