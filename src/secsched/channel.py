@@ -8,6 +8,8 @@ goes, and the scalar oracle (`oracle.beamforming_basis`) builds a basis of it.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ConfigError
@@ -22,6 +24,21 @@ _ARRIVAL_STREAM = 2
 _MAX_SEED = 2**64
 
 
+def check_seed(seed) -> int:
+    """The one seed rule: an integer, not a bool, in [0, 2**64); returns it as an int.
+
+    NumPy integers pass; floats, strings and bools raise ConfigError."""
+    try:
+        if isinstance(seed, bool):
+            raise TypeError("a bool is not a seed")
+        seed = operator.index(seed)
+    except TypeError:
+        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= seed < _MAX_SEED:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def _stream(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -31,10 +48,7 @@ class RngStreams:
     """Named random substreams derived from a single run seed."""
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed < _MAX_SEED:
-            raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
-        self.seed = seed
+        self.seed = seed = check_seed(seed)
         self.legit = _stream(seed, _LEGIT_STREAM)
         self.eves = _stream(seed, _EVE_STREAM)
         self.arrivals = _stream(seed, _ARRIVAL_STREAM)

@@ -2,8 +2,14 @@
 
 Configs are flat JSON documents whose keys mirror ScenarioConfig exactly;
 unknown or missing keys are hard errors so a typo cannot silently change the
-physics.  All CSV output is deterministic for a given config and seed, with
-floats printed to 17 significant digits so values round-trip.
+physics.
+
+Every CSV (summary, trace, sweep, calibration) is written by `_write_csv`
+from the fields of a dataclass: the config echo and `RunMetrics`, `SlotTrace`
+or `OutageCalibrationRow`, one column per field and one per user for a
+per-user field.  Each column is formatted by its dtype: floats to 17
+significant digits so values round-trip, integers in full, booleans as
+true/false.  Output is deterministic for a given config and seed.
 
 Exit codes: 0 success, 1 configuration error or memory exhausted, 2 invariant
 violation during a run, 3 I/O error.
@@ -12,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -23,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .secrecy import PARTIAL, calibrate_outage
+from .secrecy import PARTIAL, OutageCalibrationRow, calibrate_outage
 from .simulator import (
     _DEFAULT_RATIO_GRID, RunMetrics, ScenarioConfig, SlotTrace, _is_int, _is_number, run,
 )
@@ -90,17 +95,6 @@ def _load_json(path: str):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _fmt(value) -> str:
-    # floats first: they are most of a trace's values, and no bool or int is one
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 @contextlib.contextmanager
 def _open_out(path: str | None):
     if path is None:
@@ -110,51 +104,46 @@ def _open_out(path: str | None):
             yield fh
 
 
-# RunMetrics fields in summary-column order: scalars, then one column per user.
-_SCALAR_METRICS = (
-    "weighted_admission_rate", "avg_power", "empirical_outage",
-    "n_transmit_slots", "max_queue", "max_power_queue",
-    "power_queue_final", "max_served_rate", "empirical_gamma",
-)
-_PER_USER_METRICS = ("admission_rate", "avg_queue", "slots_served")
+# One printf conversion per column dtype kind: floats to 17 significant digits,
+# so every value round-trips, and integers in full.  Booleans, turned into
+# true/false one block at a time, strings and integers beyond 64 bits (object
+# columns) are written as they are.
+_CONVERSIONS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s", "U": "%s", "O": "%s"}
+_BLOCK = 4096
 
 
-def _metric_columns(k: int) -> list[str]:
-    return list(_SCALAR_METRICS) + [
-        f"{name}_{i}" for name in _PER_USER_METRICS for i in range(k)
-    ]
+def _write_csv(fh, columns, header: bool = True):
+    """Write `(name, values)` columns as CSV lines ending in CRLF.
 
-
-def _metric_values(metrics: RunMetrics) -> list:
-    values = [getattr(metrics, name) for name in _SCALAR_METRICS]
-    for name in _PER_USER_METRICS:
-        values += list(getattr(metrics, name))
-    return values
-
-
-def _write_summary(fh, config: ScenarioConfig, metrics: RunMetrics):
-    writer = csv.writer(fh)
-    writer.writerow(list(_CONFIG_ECHO) + _metric_columns(config.n_users))
-    echo = [getattr(config, key) for key in _CONFIG_ECHO]
-    writer.writerow([_fmt(v) for v in echo + _metric_values(metrics)])
-
-
-def _write_trace(fh, trace: SlotTrace):
-    """One column per SlotTrace field, or per user (`name_i`) for a per-user field."""
-    header, columns = [], []
-    for field in dataclasses.fields(SlotTrace):
-        values = getattr(trace, field.name)
+    A column with one value per row is one CSV column; a (rows, k) column is k
+    columns `name_0` ... `name_{k-1}`.  Rows are formatted 4096 at a time, so
+    only one block of strings is alive.  Strings are not quoted: the only ones
+    written are the CSI kind, the sweep axis and PASS/FAIL."""
+    names, cells = [], []
+    for name, values in columns:
+        values = np.asarray(values)
         if values.ndim == 1:
-            header.append(field.name)
-            columns.append(values)
+            names.append(name)
+            cells.append(values)
         else:
-            header += [f"{field.name}_{i}" for i in range(values.shape[1])]
-            columns += list(values.T)
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    # format 4096 rows at a time, so only one block of strings is alive
-    for start in range(0, len(trace.slot), 4096):
-        writer.writerows(zip(*(map(_fmt, c[start:start + 4096].tolist()) for c in columns)))
+            names += [f"{name}_{i}" for i in range(values.shape[1])]
+            cells += list(values.T)
+    line = ",".join(_CONVERSIONS[cell.dtype.kind] for cell in cells) + "\r\n"
+    if header:
+        fh.write(",".join(names) + "\r\n")
+    for start in range(0, len(cells[0]), _BLOCK):
+        block = [cell[start:start + _BLOCK] for cell in cells]
+        block = [np.where(cell, "true", "false") if cell.dtype.kind == "b" else cell
+                 for cell in block]
+        fh.write("".join(line % row for row in zip(*(cell.tolist() for cell in block))))
+
+
+def _summary_columns(echo: dict, metrics: RunMetrics) -> list:
+    """One row: the echoed values, then every RunMetrics field in declaration
+    order but `n_slots` (the config echo holds it) and the trace."""
+    fields = [(f.name, getattr(metrics, f.name)) for f in dataclasses.fields(RunMetrics)
+              if f.name not in ("n_slots", "trace")]
+    return [(name, np.asarray(value)[None]) for name, value in [*echo.items(), *fields]]
 
 
 def _trace_path(out: str | None) -> str:
@@ -170,11 +159,13 @@ def cmd_run(args) -> int:
         doc["seed"] = args.seed
     config = scenario_from_doc(doc)
     metrics = run(config, collect_trace=args.trace)
+    echo = {key: getattr(config, key) for key in _CONFIG_ECHO}
     with _open_out(args.out) as fh:
-        _write_summary(fh, config, metrics)
+        _write_csv(fh, _summary_columns(echo, metrics))
     if args.trace:
         with open(_trace_path(args.out), "w", newline="") as fh:
-            _write_trace(fh, metrics.trace)
+            _write_csv(fh, [(f.name, getattr(metrics.trace, f.name))
+                            for f in dataclasses.fields(SlotTrace)])
     return 0
 
 
@@ -219,17 +210,17 @@ def _sweep_points(doc: dict, seed_override: int | None):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     axis, points = _sweep_points(_load_json(args.config), args.seed)
-    k = points[0][1].n_users
+    workers = min(args.jobs, len(points))  # a fork pool starts all its workers at once
     with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "seed"] + _metric_columns(k))
-        pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+        pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
         with pool or contextlib.nullcontext():
             results = (pool.map if pool else map)(run, [config for _, config in points])
-            for (value, config), metrics in zip(points, results):
-                writer.writerow([_fmt(v) for v in
-                                 [axis, value, config.seed] + _metric_values(metrics)])
+            for index, ((value, config), metrics) in enumerate(zip(points, results)):
+                echo = {"axis": axis, "value": value, "seed": config.seed}
+                _write_csv(fh, _summary_columns(echo, metrics), header=index == 0)
                 fh.flush()
     return 0
 
@@ -237,14 +228,12 @@ def cmd_sweep(args) -> int:
 def cmd_validate_outage(args) -> int:
     rows = calibrate_outage(args.n_antennas, args.n_eves, args.eta, args.colluding,
                             _DEFAULT_RATIO_GRID, args.samples, args.seed)
+    # one column per OutageCalibrationRow field, `passed` written as the status
+    columns = [("status", ["PASS" if row.passed else "FAIL" for row in rows])
+               if f.name == "passed" else (f.name, [getattr(row, f.name) for row in rows])
+               for f in dataclasses.fields(OutageCalibrationRow)]
     with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        # one column per OutageCalibrationRow field, `passed` written as the status
-        writer.writerow(["epsilon", "rate_cost", "eta_target", "eta_estimate",
-                         "stderr", "n_samples", "status"])
-        for row in rows:
-            *values, passed = dataclasses.astuple(row)
-            writer.writerow([_fmt(v) for v in values] + ["PASS" if passed else "FAIL"])
+        _write_csv(fh, columns)
     return 0
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import _MAX_SEED, RngStreams, sample_realization_batch
+from .channel import RngStreams, check_seed, sample_realization_batch
 from .errors import ConfigError, InvariantViolation
 from .secrecy import (
     INSTANTANEOUS,
@@ -85,7 +85,9 @@ _FIELD_TYPES = {
 _GRIDS = ("power_grid", "ratio_grid")
 
 # theta's default, one unit priority per user, filled in on construction.  It is
-# not None, so an explicit None (a JSON null) is a mistyped theta.
+# not None, so an explicit None (a JSON null) is a mistyped theta.  It stays
+# unfilled, and unchecked, when n_users is not a user count within the chunk
+# budget: `validate` then refuses n_users alone.
 _ONE_PER_USER = object()
 
 
@@ -96,6 +98,15 @@ def _refusal(rule, *args) -> list[str]:
     except ConfigError as exc:
         return [str(exc)]
     return []
+
+
+def _bounded(n: int) -> str:
+    """`n` in full up to 15 digits, else its order of magnitude (a 400-digit
+    product reads `about 1e400`)."""
+    if n < 10**15:
+        return str(n)
+    exponent, fraction = divmod(math.log10(n), 1.0)
+    return f"about {10.0 ** fraction:.3g}e{exponent:.0f}"
 
 
 def _as_float(value) -> float:
@@ -136,9 +147,9 @@ class ScenarioConfig:
     def __post_init__(self):
         """Normalise the well-typed fields: floats to float, lists to float
         tuples, grids sorted.  A mistyped field is left for `validate` to name."""
-        if self.theta is _ONE_PER_USER:  # a user takes at least one double of a slot
-            fits = _is_int(self.n_users) and self.n_users <= _CHUNK_DOUBLES
-            self.theta = (1.0,) * self.n_users if fits else ()
+        users = _is_int(self.n_users) and 1 <= self.n_users <= _CHUNK_DOUBLES  # >= 1 double each
+        if self.theta is _ONE_PER_USER and users:
+            self.theta = (1.0,) * self.n_users
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and _is_number(value):
@@ -149,15 +160,16 @@ class ScenarioConfig:
 
     def validate(self) -> "ScenarioConfig":
         """Raise ConfigError naming every violated field; return self when clean."""
+        given = [f for f in fields(self) if getattr(self, f.name) is not _ONE_PER_USER]
         problems = [f"{f.name} must be {_FIELD_TYPES[f.type][1]}, got {getattr(self, f.name)!r}"
-                    for f in fields(self) if not _FIELD_TYPES[f.type][0](getattr(self, f.name))]
+                    for f in given if not _FIELD_TYPES[f.type][0](getattr(self, f.name))]
         if problems:  # the range checks below compare the fields
             raise ConfigError("; ".join(problems))
         problems += _refusal(check_outage_design, self.n_antennas, self.n_eves, self.colluding)
         if self._slot_doubles() > _CHUNK_DOUBLES:
             problems.append(
-                f"one slot needs {self._slot_doubles()} doubles, n_users*len(power_grid)*"
-                "len(ratio_grid) + 2*n_antennas*(n_users + n_eves)"
+                f"one slot needs {_bounded(self._slot_doubles())} doubles, "
+                "n_users*len(power_grid)*len(ratio_grid) + 2*n_antennas*(n_users + n_eves)"
                 f"{' + 2*n_users*n_eves**2' if self.colluding else ''}, more than the "
                 f"{_CHUNK_DOUBLES} of a chunk"
             )
@@ -167,7 +179,8 @@ class ScenarioConfig:
         problems += _refusal(SecrecyRegime, self.csi, self.colluding, self.eta)  # csi/eta rule
         if not 0 < self.v < math.inf:
             problems.append(f"v must be positive and finite, got {self.v!r}")
-        if len(self.theta) != self.n_users or not all(0 < t < math.inf for t in self.theta):
+        if self.theta is not _ONE_PER_USER and (
+                len(self.theta) != self.n_users or not all(0 < t < math.inf for t in self.theta)):
             problems.append(f"theta needs one positive, finite entry per user, got {self.theta!r}")
         for name in _GRIDS:  # sorted on construction
             grid = getattr(self, name)
@@ -192,8 +205,7 @@ class ScenarioConfig:
             problems.append(
                 f"arrival_mean must lie in (0, a_max], got {self.arrival_mean!r}"
             )
-        if not 0 <= self.seed < _MAX_SEED:
-            problems.append(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        problems += _refusal(check_seed, self.seed)
         if not problems:
             problems += self._score_overflow()
         if not problems and self.csi == PARTIAL:  # the design must price on its own grid
@@ -273,21 +285,25 @@ class SlotTrace:
 
 @dataclass
 class RunMetrics:
-    """Time averages, extrema and counters accumulated over one run."""
+    """Time averages, extrema and counters accumulated over one run.
+
+    The summary CSV writes the fields after `n_slots` in this order, one
+    column per user (`name_i`) for each per-user array, so a new metric is a
+    new field."""
 
     n_slots: int
-    admission_rate: np.ndarray
     weighted_admission_rate: float
-    avg_queue: np.ndarray
     avg_power: float
     empirical_outage: float
     n_transmit_slots: int
-    slots_served: np.ndarray
     max_queue: float
     max_power_queue: float
     power_queue_final: float
     max_served_rate: float
     empirical_gamma: float
+    admission_rate: np.ndarray
+    avg_queue: np.ndarray
+    slots_served: np.ndarray
     trace: SlotTrace | None = None
 
 

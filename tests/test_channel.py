@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from secsched import (
+    ConfigError,
     DegenerateChannelError,
     RngStreams,
     beamforming_basis,
@@ -16,6 +17,7 @@ from secsched import (
     sample_realization_batch,
 )
 from secsched.oracle import ChannelRealization, beamforming_bases, sample_realization
+from secsched.secrecy import calibrate_outage
 
 
 def test_same_seed_reproduces_draws():
@@ -48,6 +50,14 @@ def test_seed_range_is_enforced():
     with pytest.raises(ValueError):
         RngStreams(2**64)
     RngStreams(2**64 - 1)  # top of the range is fine
+    # a seed is an integer, never converted: no float, bool or string passes
+    for seed in (3.7, 1.0, True, False, np.True_, "5", None):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            RngStreams(seed)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        calibrate_outage(6, 3, 0.1, False, [0.5], 10_000, 1.5)
+    assert RngStreams(np.int64(5)).seed == 5
+    assert RngStreams(np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def test_complex_gaussian_moments():

@@ -12,12 +12,16 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import secsched.cli as cli
 import secsched.simulator as simulator
-from secsched import ScenarioConfig, SlotTrace, run, sample_realization_batch
+from secsched import (
+    ScenarioConfig, SlotTrace, calibrate_outage, run, sample_realization_batch,
+)
 from secsched.cli import main
 
 BASE = {
@@ -481,6 +485,38 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_sweep_bounds_its_worker_count(tmp_path, monkeypatch, capsys):
+    # a fork pool starts every worker on its first submit: never more than the points
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    cfg = _write_sweep(tmp_path / "s.json", "v", [5.0, 10.0, 20.0],
+                       base_overrides={"n_slots": 20})
+    for jobs in ("64", "3", "2", "1"):
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                     "--jobs", jobs]) == 0
+    assert started == [3, 3, 2]
+    capsys.readouterr()
+    for jobs in ("0", "-5"):
+        assert main(["sweep", "--config", cfg, "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--jobs" in err
+    assert started == [3, 3, 2]
+
+
 # --- validate-outage ----------------------------------------------------------------
 
 def test_validate_outage_writes_calibration_table(tmp_path):
@@ -523,6 +559,125 @@ def test_validate_outage_bad_arguments(capsys):
                      f"--seed={seed}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+
+# --- bytes --------------------------------------------------------------------------
+# Every table against the per-value rule the writer replaced: csv.writer rows
+# of floats to 17 significant digits, integers in full and true/false, with
+# the summary metrics in their published order.
+
+_ECHO = ("n_antennas", "n_eves", "n_users", "colluding", "csi", "eta", "v", "p_av",
+         "arrival_mean", "a_max", "n_slots", "seed")
+_SCALAR_METRICS = ("weighted_admission_rate", "avg_power", "empirical_outage",
+                   "n_transmit_slots", "max_queue", "max_power_queue", "power_queue_final",
+                   "max_served_rate", "empirical_gamma")
+_PER_USER_METRICS = ("admission_rate", "avg_queue", "slots_served")
+
+
+def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def _reference_csv(header, rows) -> bytes:
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    return text.getvalue().encode()
+
+
+def _metric_header(k):
+    return list(_SCALAR_METRICS) + [f"{name}_{i}" for name in _PER_USER_METRICS
+                                    for i in range(k)]
+
+
+def _metric_row(metrics):
+    return [getattr(metrics, name) for name in _SCALAR_METRICS] + [
+        value for name in _PER_USER_METRICS for value in getattr(metrics, name)]
+
+
+def _library_config(doc):
+    return ScenarioConfig(**{k: (tuple(v) if isinstance(v, list) else v) for k, v in doc.items()})
+
+
+_REGIMES = {
+    "inst-non": {}, "inst-col": {"colluding": True},
+    "partial-col": {"csi": "partial", "colluding": True, "eta": 0.1},
+    "partial-non": {"csi": "partial", "eta": 0.3},
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_run_csv_bytes(tmp_path, regime):
+    doc = dict(BASE, n_slots=300, seed=11, **_REGIMES[regime])
+    cfg = _write_config(tmp_path / "c.json", **doc)
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", cfg, "--out", str(out), "--trace"]) == 0
+
+    config = _library_config(doc)
+    metrics = run(config, collect_trace=True)
+    echo = [getattr(config, key) for key in _ECHO]
+    assert out.read_bytes() == _reference_csv(list(_ECHO) + _metric_header(2),
+                                              [echo + _metric_row(metrics)])
+    trace = metrics.trace
+    header, columns = [], []
+    for field in dataclasses.fields(SlotTrace):
+        values = getattr(trace, field.name)
+        per_user = values.ndim == 2
+        header += [f"{field.name}_{i}" for i in range(2)] if per_user else [field.name]
+        columns += list(values.T) if per_user else [values]
+    assert (tmp_path / "r.trace.csv").read_bytes() == _reference_csv(header, zip(*columns))
+
+
+def test_run_stdout_bytes(tmp_path):
+    doc = dict(BASE, n_slots=300, seed=12)
+    proc = subprocess.run([sys.executable, "-m", "secsched.cli", "run", "--config",
+                           _write_config(tmp_path / "c.json", **doc)], capture_output=True)
+    assert proc.returncode == 0
+    config = _library_config(doc)
+    echo = [getattr(config, key) for key in _ECHO]
+    assert proc.stdout == _reference_csv(list(_ECHO) + _metric_header(2),
+                                         [echo + _metric_row(run(config))])
+
+
+def test_sweep_csv_bytes(tmp_path):
+    values = [20, 5.0, 10.5]
+    cfg = _write_sweep(tmp_path / "s.json", "v", values, policy="incremented",
+                       base_overrides={"n_slots": 300})
+    rows = []
+    for index, value in enumerate(sorted(values)):
+        config = _library_config(dict(BASE, n_slots=300, v=value, seed=BASE["seed"] + index))
+        rows.append(["v", value, config.seed] + _metric_row(run(config)))
+    expected = _reference_csv(["axis", "value", "seed"] + _metric_header(2), rows)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"sweep{jobs}.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        assert out.read_bytes() == expected, jobs
+
+
+@pytest.mark.parametrize("colluding", [False, True])
+def test_validate_outage_csv_bytes(tmp_path, monkeypatch, colluding):
+    calibrated = []
+
+    def calibrate(*args):
+        calibrated.append(calibrate_outage(*args))
+        return calibrated[-1]
+
+    monkeypatch.setattr(cli, "calibrate_outage", calibrate)
+    out = tmp_path / "cal.csv"
+    assert main(["validate-outage", "--eta", "0.1", "--samples", "10000", "--seed", "4",
+                 "--out", str(out)] + ["--colluding"] * colluding) == 0
+    [rows] = calibrated
+    assert out.read_bytes() == _reference_csv(
+        ["epsilon", "rate_cost", "eta_target", "eta_estimate", "stderr", "n_samples", "status"],
+        [[r.epsilon, r.rate_cost, r.eta_target, r.eta_estimate, r.stderr, r.n_samples,
+          "PASS" if r.passed else "FAIL"] for r in rows])
 
 
 # --- console entry point ---------------------------------------------------------------

@@ -85,6 +85,12 @@ def test_config_types_and_ranges_are_checked_only_by_the_scenario():
     assert "ascending_grid" not in _top_level_names(PACKAGE / "control.py")
 
 
+def test_the_float_format_is_written_once():
+    # every CSV float goes through the one writer's conversion table
+    uses = {path.name: path.read_text().count("17g") for path in PACKAGE.glob("*.py")}
+    assert sum(uses.values()) == 1, {name: n for name, n in uses.items() if n}
+
+
 def _function(path: Path, name: str) -> ast.FunctionDef:
     return next(node for node in ast.parse(path.read_text()).body
                 if isinstance(node, ast.FunctionDef) and node.name == name)
@@ -120,6 +126,7 @@ _DESIGN_RULES = {
     "n_antennas against 2": ({"n_antennas", "n"}, {2}),
     "n_eves against 1": ({"n_eves"}, {1}),
     "eta against (0, 1)": ({"eta", "outage_level"}, {0.0, 1.0}),
+    "seed against 0": ({"seed"}, {0}),
 }
 
 

@@ -170,13 +170,21 @@ def test_validate_rejects_overflowing_scores():
     ScenarioConfig(csi="partial", eta=0.1, colluding=True).validate()
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(n_users=2**70), dict(n_users=10**9), dict(n_antennas=10**400, csi="partial", eta=0.1),
+@pytest.mark.parametrize("overrides,doubles", [
+    (dict(n_users=2**70), "about 1.13e23"), (dict(n_users=10**9), "96000000036"),
+    (dict(n_antennas=10**400, csi="partial", eta=0.1), "about 1e401"),
 ], ids=["n_users-2**70", "n_users-10**9", "partial-n_antennas-10**400"])
-def test_a_slot_beyond_the_chunk_budget_is_refused(overrides):
-    # refused by its size before theta is filled or the partial design priced
-    with pytest.raises(ConfigError, match=r"one slot needs \d+ doubles, n_users\*len"):
+def test_a_slot_beyond_the_chunk_budget_is_refused(overrides, doubles):
+    # refused by its size alone, before theta is filled or the partial design
+    # priced, and an oversized product is printed by its order of magnitude
+    with pytest.raises(ConfigError) as refused:
         ScenarioConfig(**overrides).validate()
+    assert str(refused.value) == (
+        f"one slot needs {doubles} doubles, n_users*len(power_grid)*len(ratio_grid) "
+        "+ 2*n_antennas*(n_users + n_eves), more than the 2097152 of a chunk")
+    # a theta that was given is still checked against n_users
+    with pytest.raises(ConfigError, match="theta needs one positive"):
+        ScenarioConfig(**overrides, theta=(1.0,)).validate()
 
 
 def test_run_rejects_invalid_config():
