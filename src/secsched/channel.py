@@ -39,9 +39,21 @@ def check_seed(seed) -> int:
     return seed
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
+def _stream(seed: int, index: int, doubles: int = 0) -> np.random.Generator:
+    """Substream `index` of `seed` as it stands after `doubles` draws of one double each."""
     key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.advance(doubles // 4)  # Philox counts blocks of four doubles
+    rng.random(doubles % 4)
+    return rng
+
+
+def channel_streams_at(seed: int, legit_doubles: int, eve_doubles: int):
+    """The legitimate and eavesdropper streams of `seed`, each as it stands after the given
+    number of doubles drawn from it.  Philox is counter-based (Salmon et al., SC 2011), so
+    the streams jump there without drawing what comes before."""
+    seed = check_seed(seed)
+    return _stream(seed, _LEGIT_STREAM, legit_doubles), _stream(seed, _EVE_STREAM, eve_doubles)
 
 
 class RngStreams:
@@ -65,7 +77,10 @@ def sample_complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(tuple(shape) + (2,))
     radius = np.sqrt(-np.log1p(-u[..., 0]))
     angle = 2.0 * np.pi * u[..., 1]
-    return radius * (np.cos(angle) + 1j * np.sin(angle))
+    z = np.empty(radius.shape, dtype=complex)
+    np.multiply(radius, np.cos(angle), out=z.real)
+    np.multiply(radius, np.sin(angle), out=z.imag)
+    return z
 
 
 def sample_realization_batch(config, streams: RngStreams, count: int):

@@ -18,17 +18,19 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RngStreams, sample_complex_gaussian
+from .channel import channel_streams_at, check_seed, sample_complex_gaussian
 from .errors import ConfigError, DegenerateChannelError
 
 INSTANTANEOUS = "instantaneous"
 PARTIAL = "partial"
-_CALIBRATION_CHUNK = 50_000  # channel draws per `calibrate_outage` batch
+_CALIBRATION_CHUNK = 8192  # channel draws per `calibrate_outage` block, per worker
 
 
 @dataclass(frozen=True)
@@ -434,27 +436,48 @@ def calibrate_outage(n_antennas: int, n_eves: int, eta: float, colluding: bool,
     eavesdropping capacity bound, and compares its exceedance frequency over
     the designed rate cost with the target outage level.  A row passes when
     the estimate lands within three binomial standard errors of the target.
+
+    Row r reads the draws that follow rows 0..r-1 on the legitimate and
+    eavesdropper streams, reached by counter offset, so the rows run on
+    threads, up to one per CPU this process may use, and are identical for
+    any number of them.
     """
+    if isinstance(samples, bool) or not isinstance(samples, int | np.integer):
+        raise ConfigError(f"samples must be an integer, got {samples!r}")
     if samples < 10_000:
         raise ConfigError(f"need at least 10000 samples for a meaningful estimate, got {samples}")
+    samples, seed = int(samples), check_seed(seed)
     regime = SecrecyRegime(PARTIAL, colluding, eta)
     check_outage_design(n_antennas, n_eves, colluding)
     interior = [float(e) for e in ratio_grid if 0.0 < float(e) < 1.0]
     if not interior:
         raise ConfigError("the ratio grid has no interior points to calibrate")
-    costs = rate_cost_table(interior, regime, n_antennas, n_eves)
-    streams = RngStreams(seed)
-    stderr = math.sqrt(eta * (1.0 - eta) / samples)
-    rows = []
-    for eps, cost in zip(interior, costs.tolist()):
+    costs = rate_cost_table(interior, regime, n_antennas, n_eves).tolist()
+
+    def exceedances(row: int) -> int:
+        legit_rng, eve_rng = channel_streams_at(seed, row * 2 * n_antennas * samples,
+                                                row * 2 * n_antennas * n_eves * samples)
         exceed = 0
         for start in range(0, samples, _CALIBRATION_CHUNK):
             count = min(_CALIBRATION_CHUNK, samples - start)
-            legit = sample_complex_gaussian((count, 1, n_antennas), streams.legit)
-            eves = sample_complex_gaussian((count, n_eves, n_antennas), streams.eves)
-            bound = noise_free_bound(legit, eves, eps, colluding)[:, 0]
-            exceed += int(np.count_nonzero(bound > cost))
-        estimate = exceed / samples
-        rows.append(OutageCalibrationRow(eps, cost, eta, estimate, stderr, samples,
-                                         passed=abs(estimate - eta) <= 3.0 * stderr))
-    return rows
+            legit = sample_complex_gaussian((count, 1, n_antennas), legit_rng)
+            eves = sample_complex_gaussian((count, n_eves, n_antennas), eve_rng)
+            bound = noise_free_bound(legit, eves, interior[row], colluding)[:, 0]
+            exceed += int(np.count_nonzero(bound > costs[row]))
+        return exceed
+
+    with ThreadPoolExecutor(min(len(interior), _cpu_count()),
+                            thread_name_prefix="calibrate_outage") as pool:
+        counts = list(pool.map(exceedances, range(len(interior))))
+    stderr = math.sqrt(eta * (1.0 - eta) / samples)
+    return [OutageCalibrationRow(eps, cost, eta, exceed / samples, stderr, samples,
+                                 passed=abs(exceed / samples - eta) <= 3.0 * stderr)
+            for eps, cost, exceed in zip(interior, costs, counts)]
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

@@ -16,6 +16,7 @@ from secsched import (
     sample_complex_gaussian,
     sample_realization_batch,
 )
+from secsched.channel import channel_streams_at
 from secsched.oracle import ChannelRealization, beamforming_bases, sample_realization
 from secsched.secrecy import calibrate_outage
 
@@ -58,6 +59,38 @@ def test_seed_range_is_enforced():
         calibrate_outage(6, 3, 0.1, False, [0.5], 10_000, 1.5)
     assert RngStreams(np.int64(5)).seed == 5
     assert RngStreams(np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_sampling_assembly_keeps_the_bits_of_the_complex_expression(seed):
+    for shape in [(1,), (7, 3), (50, 6), (4, 3, 6)]:
+        u = RngStreams(seed).legit.random(shape + (2,))
+        radius = np.sqrt(-np.log1p(-u[..., 0]))
+        angle = 2.0 * np.pi * u[..., 1]
+        expected = radius * (np.cos(angle) + 1j * np.sin(angle))
+        z = sample_complex_gaussian(shape, RngStreams(seed).legit)
+        assert z.dtype == expected.dtype and z.shape == expected.shape
+        assert z.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+def test_stream_offsets_equal_draw_and_discard(seed):
+    for legit_doubles, eve_doubles in [(0, 1), (2, 3), (4, 4097), (10_002, 30_003)]:
+        legit, eves = RngStreams(seed).legit, RngStreams(seed).eves
+        legit.random(legit_doubles)
+        eves.random(eve_doubles)
+        legit_at, eves_at = channel_streams_at(seed, legit_doubles, eve_doubles)
+        assert np.array_equal(legit_at.random(11), legit.random(11))
+        assert np.array_equal(eves_at.random(11), eves.random(11))
+    # far out, where drawing is impossible: the counter Philox defines a block by
+    far = 2**40 + 6
+    key = np.array([seed, 0], dtype=np.uint64)
+    reference = np.random.Generator(np.random.Philox(key=key, counter=far // 4))
+    reference.random(far % 4)
+    legit_at, _ = channel_streams_at(seed, far, 0)
+    assert np.array_equal(legit_at.random(11), reference.random(11))
+    legit_before, _ = channel_streams_at(seed, far - 3, 0)
+    assert np.array_equal(legit_before.random(14)[3:], channel_streams_at(seed, far, 0)[0].random(11))
 
 
 def test_complex_gaussian_moments():

@@ -6,6 +6,7 @@ independent numerical paths (log-det oracle, projector identity, bisection).
 import itertools
 import math
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -628,6 +629,70 @@ def test_calibrate_outage_smoke():
 def test_calibrate_outage_colluding_smoke():
     rows = calibrate_outage(6, 3, 0.5, True, (0.3, 0.6), samples=20_000, seed=2)
     assert all(r.passed for r in rows)
+
+
+def _serial_calibration(n_antennas, n_eves, eta, colluding, ratio_grid, samples, seed):
+    """The calibration as one loop over the rows on the two run streams, in 50k-draw blocks."""
+    regime = SecrecyRegime("partial", colluding, eta)
+    interior = [float(e) for e in ratio_grid if 0.0 < float(e) < 1.0]
+    costs = rate_cost_table(interior, regime, n_antennas, n_eves)
+    streams = RngStreams(seed)
+    stderr = math.sqrt(eta * (1.0 - eta) / samples)
+    rows = []
+    for eps, cost in zip(interior, costs.tolist()):
+        exceed = 0
+        for start in range(0, samples, 50_000):
+            count = min(50_000, samples - start)
+            legit = sample_complex_gaussian((count, 1, n_antennas), streams.legit)
+            eves = sample_complex_gaussian((count, n_eves, n_antennas), streams.eves)
+            bound = noise_free_bound(legit, eves, eps, colluding)[:, 0]
+            exceed += int(np.count_nonzero(bound > cost))
+        estimate = exceed / samples
+        rows.append(secrecy.OutageCalibrationRow(eps, cost, eta, estimate, stderr, samples,
+                                                 passed=abs(estimate - eta) <= 3.0 * stderr))
+    return rows
+
+
+@pytest.mark.parametrize("colluding", [False, True])
+def test_calibration_rows_do_not_depend_on_the_worker_count(monkeypatch, colluding):
+    # 5 antennas x 10_001 samples is odd, so row offsets fall mid-block of Philox's 4
+    # doubles; each row spans two blocks of the calibration and one of the reference
+    assert 10_001 > secrecy._CALIBRATION_CHUNK
+    for seed, samples in [(2**64 - 1, 10_001), (4, 60_001)]:
+        args = (5, 3, 0.3, colluding, (0.0, 0.2, 0.5, 0.7, 1.0), samples, seed)
+        expected = _serial_calibration(*args)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(secrecy, "_cpu_count", lambda: workers)
+            assert calibrate_outage(*args) == expected, (seed, workers)
+
+
+def test_a_worker_exception_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
+    class Injected(Exception):
+        pass
+
+    def fail(shape, rng):
+        raise Injected(threading.current_thread().name)
+
+    monkeypatch.setattr(secrecy, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(secrecy, "sample_complex_gaussian", fail)
+    before = threading.active_count()
+    with pytest.raises(Injected, match="calibrate_outage"):
+        calibrate_outage(6, 3, 0.3, True, (0.2, 0.5, 0.7), samples=10_000, seed=0)
+    workers = [t for t in threading.enumerate() if t.name.startswith("calibrate_outage")]
+    for t in workers:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in workers)
+    assert threading.active_count() == before
+
+
+def test_calibrate_outage_refuses_a_non_integer_sample_count(monkeypatch):
+    def draw(shape, rng):
+        raise AssertionError("drew before refusing the sample count")
+
+    monkeypatch.setattr(secrecy, "sample_complex_gaussian", draw)
+    for samples in (20_000.0, 1e6, True, np.float64(20_000), "20000", None):
+        with pytest.raises(ConfigError, match="samples must be an integer"):
+            calibrate_outage(6, 3, 0.3, False, (0.5,), samples=samples, seed=0)
 
 
 def test_calibrate_outage_validation():
