@@ -124,7 +124,11 @@ def _colluding_tail(arr: np.ndarray, n_antennas, n_eves):
     return value, in_log
 
 
-def _bisect_decreasing(exceeds, rel_tol: float = 1e-12, max_iter: int = 200) -> float:
+_BISECT_REL_TOL = 1e-12  # `_bisect_decreasing` stops at this width relative to max(hi, 1)
+_BISECT_MAX_ITER = 200
+
+
+def _bisect_decreasing(exceeds) -> float:
     """Root of a continuous strictly decreasing fn on [0, inf) given exceeds(x) = fn(x) > target;
     inf when fn exceeds the target even at the largest double."""
     lo, hi = 0.0, 1.0
@@ -132,15 +136,14 @@ def _bisect_decreasing(exceeds, rel_tol: float = 1e-12, max_iter: int = 200) -> 
         if hi == sys.float_info.max:
             return math.inf
         hi = min(2.0 * hi, sys.float_info.max)
-    while hi - lo > rel_tol * max(hi, 1.0):
+    for _ in range(_BISECT_MAX_ITER):
+        if hi - lo <= _BISECT_REL_TOL * max(hi, 1.0):
+            break
         mid = 0.5 * lo + 0.5 * hi  # = 0.5 * (lo + hi), which can overflow
         if exceeds(mid):
             lo = mid
         else:
             hi = mid
-        max_iter -= 1
-        if max_iter <= 0:
-            break
     return 0.5 * lo + 0.5 * hi
 
 
@@ -321,48 +324,39 @@ def channel_stats(legit: np.ndarray, eves: np.ndarray, colluding: bool) -> Chann
     )
 
 
-def legit_capacity_grid(legit_gain: np.ndarray, power: np.ndarray, fraction: np.ndarray,
-                        out: np.ndarray | None = None) -> np.ndarray:
+def legit_capacity_grid(legit_gain: np.ndarray, power: np.ndarray,
+                        fraction: np.ndarray) -> np.ndarray:
     """Intended receivers' rates log2(1 + P e ||h||^2).
 
     Needs only the squared channel norms, since artificial noise is invisible
-    to the intended receiver.  `power`, `fraction` and `out` work as in
+    to the intended receiver.  `power` and `fraction` broadcast as in
     `eve_capacity`, so the run's audit of one chosen pair equals the grid.
     """
-    return np.log2(1.0 + power * fraction * legit_gain[..., None, None], out=out)
+    grid = 1.0 + power * fraction * legit_gain[..., None, None]
+    return np.log2(grid, out=grid)
 
 
 def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.ndarray):
     """Receiver and eavesdropper rates for every (power, data fraction) pair.
 
     Returns (legit, eve) arrays of shape stats.legit_gain.shape + (n_powers,
-    n_fractions); the eve array is `eve_capacity` on the whole grid.  Leading
-    zero powers (a sorted grid's idle action) are not computed: both of their
-    rates are log2(1 + 0 * x) = 0 exactly.
+    n_fractions): `legit_capacity_grid` and `eve_capacity` on the whole grid.
     """
-    power = np.asarray(power_grid, dtype=float)
+    power = np.asarray(power_grid, dtype=float)[:, None]
     fraction = np.asarray(ratio_grid, dtype=float)
-    shape = stats.legit_gain.shape + (len(power), len(fraction))
-    cap_users, cap_eves = np.empty(shape), np.empty(shape)
-    idle = len(power) - len(np.trim_zeros(power, "f"))
-    cap_users[..., :idle, :] = 0.0
-    cap_eves[..., :idle, :] = 0.0
-    power = power[idle:, None]
-    legit_capacity_grid(stats.legit_gain, power, fraction, out=cap_users[..., idle:, :])
-    eve_capacity(stats, power, fraction, out=cap_eves[..., idle:, :])
-    return cap_users, cap_eves
+    return (legit_capacity_grid(stats.legit_gain, power, fraction),
+            eve_capacity(stats, power, fraction))
 
 
-def eve_capacity(stats: ChannelStats, power: np.ndarray, fraction: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def eve_capacity(stats: ChannelStats, power: np.ndarray, fraction: np.ndarray) -> np.ndarray:
     """Realized capacity of the configured eavesdroppers, thermal noise included.
 
     `power` and `fraction` broadcast against the result's shape
-    stats.legit_gain.shape + (n_powers, n_fractions), which is written to
-    `out` when given; the run's audit passes each slot's chosen pair as a
-    1 x 1 grid.  Eavesdroppers are folded in index order (a running max or
-    sum), never reduced as an axis, which numpy may sum pairwise: a value does
-    not depend on the grid around it, so the audit equals `capacity_grids`.
+    stats.legit_gain.shape + (n_powers, n_fractions); the run's audit passes
+    each slot's chosen pair as a 1 x 1 grid.  Eavesdroppers are folded in
+    index order (a running max or sum), never reduced as an axis, which numpy
+    may sum pairwise: a value does not depend on the grid around it, so the
+    audit equals `capacity_grids`.
     """
     data_power = power * fraction
     noise_power = power * (1.0 - fraction) / (stats.n_antennas - 1)
@@ -378,7 +372,7 @@ def eve_capacity(stats: ChannelStats, power: np.ndarray, fraction: np.ndarray,
     if colluding:
         acc *= data_power
     acc += 1.0
-    return np.log2(acc, out=out)
+    return np.log2(acc, out=acc)
 
 
 def secrecy_rate_grid(cap_users: np.ndarray, rate_cost) -> np.ndarray:

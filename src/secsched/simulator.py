@@ -11,9 +11,11 @@ three steps:
 
 * batched: channels, capacity and secrecy-rate grids, then the best data
   fraction of every (slot, user, power) cell, which does not depend on the
-  queues because backlogs are never negative;
-* sequential: only the queue recursion in Python floats, serving the best
-  of the K x |P| cells per slot (`_choose_action`);
+  queues because backlogs are never negative.  They cover the transmitting
+  powers `power_grid[1:]` alone, since `power_grid[0]` is the idle power 0;
+* sequential: only the queue recursion in Python floats, which starts every
+  slot idle and serves the best transmitting cell if it scores more
+  (`_choose_action`);
 * batched again: the chunk's `SlotTrace` columns, with the audit of the
   chosen actions (codeword rate, eavesdropper capacity, rate cost, outage),
   which evaluates the capacity kernels at each chosen action alone, so only
@@ -339,11 +341,11 @@ def _audit(legit, eves, stats, regime: SecrecyRegime, power, fraction, cost_tabl
 
     Both rates are the grid's kernels at the chosen (power, fraction) alone, on
     the served user's statistics (the chunk's rows, or under partial CSI those
-    of its channel row), for the slots that transmit: a zero-power action has
-    rate log2(1 + 0) = 0.  The cost is the eavesdropper capacity, or under
-    partial CSI the pre-inverted table entry of the chosen fraction.
+    of its channel row), for the slots that transmit: the idle action (power
+    index 0) has rate log2(1 + 0) = 0.  The cost is the eavesdropper capacity,
+    or under partial CSI the pre-inverted table entry of the chosen fraction.
     """
-    sent = np.flatnonzero(power[p_idx] > 0.0)
+    sent = np.flatnonzero(p_idx > 0)
     if stats is None:
         stats = channel_stats(legit[sent, user[sent]][:, None, :], eves[sent], regime.colluding)
     else:
@@ -375,22 +377,26 @@ def _best_fractions(rates: np.ndarray):
 def _choose_action(backlog, price, cell_rate, cell_f, cell_earlier, rates):
     """First maximiser (user, power index, fraction index) of U*r - X*P in one slot.
 
-    `backlog` holds the K backlogs U and `price` the |P| products X*P.
-    `cell_rate`, `cell_f` and `cell_earlier` list, per (user, power) cell in
-    C order, `_best_fractions`' best rate, its fraction index and the largest
-    earlier rate; `rates` is the slot's (K, |P|, |F|) grid, read only on ties.
-    Returns (user, p_idx, f_idx, secrecy rate).
+    `backlog` holds the K backlogs U and `price` the products X*P of the
+    transmitting powers `power_grid[1:]`.  `cell_rate`, `cell_f` and
+    `cell_earlier` list, per transmitting (user, power) cell in C order,
+    `_best_fractions`' best rate, its fraction index and the largest earlier
+    rate; `rates` is the slot's transmitting grid, read only on ties.
+    Returns (user, p_idx, f_idx, secrecy rate), p_idx indexing `power_grid`.
 
     This equals the first flat argmax over the full grid, bit for bit.
-    Rounding is monotone: with U >= 0, fl(U*r) and fl(fl(U*r) - c) never
-    reorder two rates, they can only merge them into a tie.  So each cell's
-    largest score is the score of its best rate, the largest cell score is
-    the full-grid maximum m, and the cells holding a score m are exactly
-    those whose best score is m.  The first such cell is the first cell of
-    the flat argmax; inside it, a fraction before `cell_f` scores m only if
-    the largest earlier rate does, and then the first of them wins.
+    Every idle cell scores exactly +0.0 (U*0.0 - X*0.0): all its rates are
+    0 in every regime.  Cell (0, 0) is the first in C order and its first
+    fraction the first of its ties, so the argmax is the idle action
+    (0, 0, 0) unless a transmitting cell scores above 0.  Rounding is
+    monotone: with U >= 0, fl(U*r) and fl(fl(U*r) - c) never reorder two
+    rates, they can only merge them into a tie.  So each cell's largest
+    score is the score of its best rate, and the first cell at the maximum
+    is the first cell of the argmax, which a strict `>` from 0.0 finds.
+    Inside it, a fraction before `cell_f` scores the maximum only if the
+    largest earlier rate does, and then the first of them wins.
     """
-    best = -math.inf  # every score is finite (`ScenarioConfig.validate`)
+    best, chosen = 0.0, None  # every score is finite (`ScenarioConfig.validate`)
     cell = 0
     for level in backlog:
         for c in price:
@@ -398,14 +404,16 @@ def _choose_action(backlog, price, cell_rate, cell_f, cell_earlier, rates):
             if score > best:
                 best, chosen = score, cell
             cell += 1
-    user, p_idx = divmod(chosen, len(price))
+    if chosen is None:
+        return 0, 0, 0, 0.0
+    user, p_cell = divmod(chosen, len(price))
     f_idx = cell_f[chosen]
     rate = cell_rate[chosen]
-    level, c = backlog[user], price[p_idx]
+    level, c = backlog[user], price[p_cell]
     if f_idx and level * cell_earlier[chosen] - c == best:
-        f_idx = int(np.argmax(level * rates[user, p_idx, :f_idx] - c == best))
-        rate = float(rates[user, p_idx, f_idx])
-    return user, p_idx, f_idx, rate
+        f_idx = int(np.argmax(level * rates[user, p_cell, :f_idx] - c == best))
+        rate = float(rates[user, p_cell, f_idx])
+    return user, p_cell + 1, f_idx, rate
 
 
 def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
@@ -417,12 +425,12 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
     k = config.n_users
     power = np.asarray(config.power_grid)
     fraction = np.asarray(config.ratio_grid)
-    positive = power > 0
     cost_table = (rate_cost_table(fraction, regime, config.n_antennas, config.n_eves)
                   if regime.csi == PARTIAL else None)
 
     streams = RngStreams(config.seed)
     power_levels = list(config.power_grid)
+    transmitting = power_levels[1:]  # power_levels[0] is the idle action's 0
     p_av = config.p_av
     v_theta = [config.v * t for t in config.theta]
     queue_cap = [vt + config.a_max for vt in v_theta]
@@ -442,12 +450,10 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         count = min(chunk, config.n_slots - done)
         legit, eves = sample_realization_batch(config, streams, count)
         arrivals = sample_arrivals(config, streams.arrivals, count)
-        rates, stats = _rate_grids(legit, eves, regime, power, fraction, cost_table)
+        rates, stats = _rate_grids(legit, eves, regime, power[1:], fraction, cost_table)
         best_f, best_rate, earlier = _best_fractions(rates)
-        if np.any(positive):
-            # r / P rounds monotonically in r, so the best fraction gives the maximum
-            chunk_gamma = float(np.max(best_rate[:, :, positive] / power[positive]))
-            gamma = max(gamma, chunk_gamma)
+        # r / P rounds monotonically in r, so the best fraction gives the maximum
+        gamma = float(np.max(best_rate / power[1:], initial=gamma))
 
         # The sequential recursion, in Python floats.  It only records each
         # slot's action and levels; checks and metrics read the columns below.
@@ -460,13 +466,12 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
             # the boundary going to full admission; with the allocation below it
             # caps every backlog at V theta_i + A_max.
             admitted = [a if b <= vt else 0.0 for a, b, vt in zip(arrived, backlog, v_theta)]
-            # The zero-power action scores 0, so the objective is never negative;
+            # The idle action scores 0, so the objective is never negative;
             # argmax ties go to the lowest user, then power, then data fraction.
-            price = [power_queue * p for p in power_levels]
+            price = [power_queue * p for p in transmitting]
             action = _choose_action(backlog, price, cell_rate, cell_f, cell_earlier, rates[t])
             user, p_idx, _, slot_rate = action
-            if slot_rate > 0.0:
-                backlog[user] = max(backlog[user] - slot_rate, 0.0)
+            backlog[user] = max(backlog[user] - slot_rate, 0.0)
             backlog = [b + a for b, a in zip(backlog, admitted)]
             power_queue = max(power_queue - p_av, 0.0) + power_levels[p_idx]
             chosen.append(action)

@@ -581,6 +581,23 @@ def test_pointwise_eve_capacity_equals_the_grid(n, n_eves, colluding):
     assert np.array_equal(legit_point[:, 0, 0, 0], legit_grid[np.arange(500), 0, p_idx, f_idx])
 
 
+@pytest.mark.parametrize("n,n_eves,colluding", [
+    pytest.param(6, 3, False, id="False"), pytest.param(6, 3, True, id="True"),
+    pytest.param(10, 9, True, id="True-10x9"), pytest.param(2, 1, False, id="False-2x1"),
+])
+def test_zero_power_rates_are_exactly_positive_zero(n, n_eves, colluding):
+    # the run leaves power 0 out of its grids and serves the idle action at
+    # rate 0.0, so both kernels must give exactly +0.0 there, at every fraction
+    s = RngStreams(11)
+    legit = sample_complex_gaussian((200, 2, n), s.legit)
+    eves = sample_complex_gaussian((200, n_eves, n), s.eves)
+    fraction = np.array([0.0, 1e-300, 0.5, 1.0])
+    grids = capacity_grids(channel_stats(legit, eves, colluding), np.array([0.0, 100.0]), fraction)
+    for grid in grids:
+        zero = grid[..., 0, :]
+        assert not zero.any() and not np.signbit(zero).any()
+
+
 def test_channel_stats_validation():
     legit = np.ones((2, 6), dtype=complex)
     with pytest.raises(ValueError):

@@ -272,8 +272,8 @@ def test_queue_cap_breach_raises_at_the_first_slot(monkeypatch):
         "backlog of user 1 exceeded its deterministic cap at slot 3: 124.0 > 123.0")
     assert (err.value.slot, err.value.user) == (slot, user)
     assert (err.value.backlog, err.value.cap) == (backlog[user], cap[user])
-    # the slot's decision: with only the zero power every score ties at 0, so
-    # the lowest user, power and data fraction win and nothing is sent
+    # the slot's decision: with only the zero power no cell transmits, so the
+    # slot keeps the idle action (user 0, power 0, the first fraction, rate 0)
     decision = (err.value.served_user, err.value.power, err.value.data_fraction,
                 err.value.secrecy_rate)
     assert decision == (0, 0.0, config.ratio_grid[0], 0.0)
@@ -397,7 +397,11 @@ def test_traced_run_replays_through_batched_kernels(csi, colluding, overrides):
 # --- the per-slot action choice -------------------------------------------------
 
 def _full_grid_choice(backlog, power_queue, power, rates):
-    score = np.asarray(backlog)[:, None, None] * rates - power_queue * np.asarray(power)[:, None]
+    """The first argmax of the full grid: the idle column (power 0, rates 0),
+    then the transmitting `power`s and their `rates`."""
+    rates = np.concatenate([np.zeros(rates.shape[:1] + (1,) + rates.shape[2:]), rates], axis=1)
+    power = np.concatenate([[0.0], power])
+    score = np.asarray(backlog)[:, None, None] * rates - power_queue * power[:, None]
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(score)), score.shape))
 
 
@@ -406,18 +410,19 @@ def _cell_choice(backlog, power_queue, power, rates):
     user, p_idx, f_idx, rate = simulator._choose_action(
         [float(u) for u in backlog], [power_queue * float(p) for p in power],
         best_rate.ravel().tolist(), best_f.ravel().tolist(), earlier.ravel().tolist(), rates)
-    assert rate == rates[user, p_idx, f_idx]
+    assert rate == (rates[user, p_idx - 1, f_idx] if p_idx else 0.0)
     return user, p_idx, f_idx
 
 
 def test_action_choice_ties_match_the_full_grid_argmax():
+    # Each grid below is the transmitting part; the brute force adds the idle column.
     rng = np.random.default_rng(5)
-    rates = rng.uniform(0.0, 5.0, size=(2, 3, 4))
+    rates = rng.uniform(0.0, 5.0, size=(2, 3, 4))[:, 1:]
     # U = 0: every fraction of a user scores -X*P
     for backlog, power_queue in (([0.0, 0.0], 0.0), ([0.0, 0.0], 3.0), ([0.0, 2.0], 3.0)):
-        assert _cell_choice(backlog, power_queue, [0.0, 1.0, 2.0], rates) == \
-            _full_grid_choice(backlog, power_queue, [0.0, 1.0, 2.0], rates)
-    assert _cell_choice([0.0, 0.0], 3.0, [0.0, 1.0, 2.0], rates) == (0, 0, 0)
+        assert _cell_choice(backlog, power_queue, [1.0, 2.0], rates) == \
+            _full_grid_choice(backlog, power_queue, [1.0, 2.0], rates)
+    assert _cell_choice([0.0, 0.0], 3.0, [1.0, 2.0], rates) == (0, 0, 0)
 
     # products that round equal: adjacent rates times U = 1.5 * 2**53 (a power
     # of two would multiply exactly), so the earlier fraction wins
@@ -425,20 +430,30 @@ def test_action_choice_ties_match_the_full_grid_argmax():
     low, high = 6.004923751903786, 6.004923751903787
     assert low < high and level * low == level * high
     tied = np.array([[[0.5, low, 0.25, high]], [[1.0, 2.0, 3.0, 4.0]]])
-    assert _cell_choice([level, 1.0], 0.0, [1.0], tied) == (0, 0, 1)
-    assert _full_grid_choice([level, 1.0], 0.0, [1.0], tied) == (0, 0, 1)
+    assert _cell_choice([level, 1.0], 0.0, [1.0], tied) == (0, 1, 1)
+    assert _full_grid_choice([level, 1.0], 0.0, [1.0], tied) == (0, 1, 1)
 
     # X*P = 2**53 leaves U*r - X*P a spacing of 1: 0.6, 1.4 and 1.45 score
-    # alike although their products differ; X*P = 2**60 absorbs U*r whole
+    # alike although their products differ; X*P = 2**60 absorbs U*r whole.
+    # Every transmitting score is negative, so the slot idles.
     absorbed = np.array([[[0.2, 0.6, 1.4, 1.45]]])
     assert 1.0 * 0.6 - 2.0**53 == 1.0 * 1.45 - 2.0**53
-    for power_queue, expected in ((2.0**53, (0, 0, 1)), (2.0**60, (0, 0, 0))):
-        assert _cell_choice([1.0], power_queue, [1.0], absorbed) == expected
-        assert _full_grid_choice([1.0], power_queue, [1.0], absorbed) == expected
+    for power_queue in (2.0**53, 2.0**60):
+        assert _cell_choice([1.0], power_queue, [1.0], absorbed) == (0, 0, 0)
+        assert _full_grid_choice([1.0], power_queue, [1.0], absorbed) == (0, 0, 0)
 
-    # random states, with coarse rates and backlogs so exact ties are common
+    # a positive tie made by the subtraction: 15 - X and its successor - X
+    # both round to 14 with X = 1 + 2**-50, so fraction 0 wins
+    price = 1.0 + 2.0**-50
+    subtracted = np.array([[[15.0, np.nextafter(15.0, 16.0)]]])
+    assert 15.0 - price == np.nextafter(15.0, 16.0) - price == 14.0
+    assert _cell_choice([1.0], price, [1.0], subtracted) == (0, 1, 0)
+    assert _full_grid_choice([1.0], price, [1.0], subtracted) == (0, 1, 0)
+
+    # random states, with coarse rates and backlogs so exact ties are common;
+    # no transmitting power at all (power_grid = [0]) included
     for _ in range(3000):
-        k, n_p, n_f = rng.integers(1, 4), rng.integers(1, 5), rng.integers(1, 7)
+        k, n_p, n_f = rng.integers(1, 4), rng.integers(0, 4), rng.integers(1, 7)
         if rng.random() < 0.5:
             grid = rng.integers(0, 4, size=(k, n_p, n_f)) / 2.0
         else:
@@ -446,7 +461,7 @@ def test_action_choice_ties_match_the_full_grid_argmax():
         backlog = rng.choice([0.0, 1.0, 3.0, 2.0**53, 1.5 * 2.0**53], size=k)
         if rng.random() < 0.5:
             backlog = rng.uniform(0.0, 200.0, size=k)
-        power = np.sort(rng.choice([0.0, 1.0, 100.0, 250.0, 300.0], size=n_p))
+        power = np.sort(rng.choice([1.0, 100.0, 250.0, 300.0], size=n_p, replace=False))
         power_queue = float(rng.choice([0.0, 0.5, 40.0, 2.0**53, rng.uniform(0.0, 1e4)]))
         assert _cell_choice(backlog, power_queue, power, grid) == \
             _full_grid_choice(backlog, power_queue, power, grid)
@@ -525,6 +540,29 @@ def test_only_the_rate_grid_crosses_the_recursion(colluding, monkeypatch):
     monkeypatch.setattr(simulator, "_choose_action", choose)
     run(_small(n_slots=50, colluding=colluding))
     assert alive == [[False, False]]
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(n_slots=50),
+    ScenarioConfig(colluding=True, n_slots=50),
+    ScenarioConfig(csi="partial", eta=0.1, colluding=True, n_slots=50),
+], ids=["instantaneous-noncolluding", "instantaneous-colluding", "partial-colluding"])
+def test_the_grids_hold_only_the_transmitting_powers(config, monkeypatch):
+    shapes = []
+
+    def recorded(kernel):
+        def call(*args):
+            result = kernel(*args)
+            shapes.extend(grid.shape for grid in (result if kernel is capacity_grids else [result]))
+            return result
+        return call
+
+    monkeypatch.setattr(simulator, "capacity_grids", recorded(capacity_grids))
+    monkeypatch.setattr(simulator, "secrecy_rate_grid", recorded(secrecy_rate_grid))
+    run(config)
+    assert len(shapes) == (3 if config.csi == "instantaneous" else 1)
+    assert {shape[-2:] for shape in shapes} == {(len(config.power_grid) - 1,
+                                                 len(config.ratio_grid))}
 
 
 _REGIMES = [("instantaneous", False, 0.0), ("instantaneous", True, 0.0),
