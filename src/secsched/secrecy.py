@@ -194,13 +194,14 @@ def rate_cost_table(ratio_grid, regime: SecrecyRegime, n_antennas: int, n_eves: 
 
 
 def _rate_costs(ratio_grid, outage_level, n_antennas, n_eves, colluding) -> list[float]:
-    """`rate_cost_table`'s entries, for the table and the scalar costs alike."""
+    """`rate_cost_table`'s entries, for the table and the scalar costs alike; the
+    design is checked even where no fraction reads the threshold."""
+    SecrecyRegime(PARTIAL, colluding, outage_level)  # the eta rule
+    check_outage_design(n_antennas, n_eves, colluding)
     fractions = [float(e) for e in ratio_grid]
-    for e in fractions:  # each fraction with the design that prices it
+    for e in fractions:
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"data fraction must lie in [0, 1], got {e}")
-        SecrecyRegime(PARTIAL, colluding, outage_level)  # the eta rule
-        check_outage_design(n_antennas, n_eves, colluding)
     if any(0.0 < e < 1.0 for e in fractions):  # x is read only at interior fractions
         x = leakage_threshold(outage_level, n_antennas, n_eves, colluding)
     return [0.0 if e == 0.0 else math.inf if e == 1.0

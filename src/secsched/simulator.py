@@ -9,18 +9,20 @@ only implementation of this drift-plus-penalty controller (M. J. Neely,
 Queueing Systems", Morgan & Claypool, 2010).  It works on chunks of slots in
 three steps:
 
-* batched: channels, capacity and secrecy-rate grids, then the best data
-  fraction of every (slot, user, power) cell, which does not depend on the
-  queues because backlogs are never negative.  They cover the transmitting
-  powers `power_grid[1:]` alone, since `power_grid[0]` is the idle power 0;
+* batched: channels and the secrecy-rate grid, reduced at once to the best
+  rate of every (slot, user, power) cell and its data fraction, which do not
+  depend on the queues because backlogs are never negative.  They cover the
+  transmitting powers `power_grid[1:]` alone, since `power_grid[0]` is the
+  idle power 0;
 * sequential: only the queue recursion in Python floats, which starts every
-  slot idle and serves the best transmitting cell if it scores more
+  slot idle and serves the first cell that scores more, at its best rate
   (`_choose_action`);
 * batched again: the chunk's `SlotTrace` columns, with the audit of the
   chosen actions (codeword rate, eavesdropper capacity, rate cost, outage),
-  which evaluates the capacity kernels at each chosen action alone, so only
-  the secrecy-rate grid crosses the recursion.  The cap check, every metric
-  and the trace are slot-order reductions of them.
+  which in every regime recomputes the served rows' channel statistics and
+  evaluates the capacity kernels at each chosen action alone, so only the
+  per-cell arrays and the channels cross the recursion.  The cap check,
+  every metric and the trace are slot-order reductions of them.
 
 A chunk holds at most `_CHUNK` slots, and fewer when its slots would hold
 more than `_CHUNK_DOUBLES` doubles (`ScenarioConfig._slot_doubles`).
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -321,36 +323,30 @@ def sample_arrivals(config, rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _rate_grids(legit, eves, regime: SecrecyRegime, power, fraction, cost_table):
-    """Secrecy-rate grid of one chunk and the channel statistics it was priced at.
+    """Secrecy-rate grid of one chunk.
 
     Each secrecy rate is priced at the eavesdropper grid, or under partial CSI
     at the rate-cost table: then it reads only the users' gains ||h||^2 (the
-    expression of `channel_stats`) and the statistics are None.
+    expression of `channel_stats`).
     """
     if regime.csi == PARTIAL:
         gain = np.sum(legit.real**2 + legit.imag**2, axis=-1)
-        return secrecy_rate_grid(legit_capacity_grid(gain, power[:, None], fraction),
-                                 cost_table), None
-    stats = channel_stats(legit, eves, regime.colluding)
-    return secrecy_rate_grid(*capacity_grids(stats, power, fraction)), stats
+        return secrecy_rate_grid(legit_capacity_grid(gain, power[:, None], fraction), cost_table)
+    return secrecy_rate_grid(*capacity_grids(channel_stats(legit, eves, regime.colluding),
+                                             power, fraction))
 
 
-def _audit(legit, eves, stats, regime: SecrecyRegime, power, fraction, cost_table,
-           user, p_idx, f_idx):
+def _audit(legit, eves, regime: SecrecyRegime, power, fraction, cost_table, user, p_idx, f_idx):
     """Codeword rate, eavesdropper capacity and rate cost of each slot's chosen action.
 
     Both rates are the grid's kernels at the chosen (power, fraction) alone, on
-    the served user's statistics (the chunk's rows, or under partial CSI those
-    of its channel row), for the slots that transmit: the idle action (power
-    index 0) has rate log2(1 + 0) = 0.  The cost is the eavesdropper capacity,
-    or under partial CSI the pre-inverted table entry of the chosen fraction.
+    the statistics of the served user's channel row, for the slots that
+    transmit: the idle action (power index 0) has rate log2(1 + 0) = 0.  The
+    cost is the eavesdropper capacity, or under partial CSI the pre-inverted
+    table entry of the chosen fraction.
     """
     sent = np.flatnonzero(p_idx > 0)
-    if stats is None:
-        stats = channel_stats(legit[sent, user[sent]][:, None, :], eves[sent], regime.colluding)
-    else:
-        stats = replace(stats, **{name: rows[sent, user[sent]][:, None] for name, rows
-                                  in vars(stats).items() if isinstance(rows, np.ndarray)})
+    stats = channel_stats(legit[sent, user[sent]][:, None, :], eves[sent], regime.colluding)
     chosen = power[p_idx[sent], None, None, None], fraction[f_idx[sent], None, None, None]
     codeword, eve = np.zeros(len(user)), np.zeros(len(user))
     codeword[sent] = legit_capacity_grid(stats.legit_gain, *chosen)[:, 0, 0, 0]
@@ -359,42 +355,24 @@ def _audit(legit, eves, stats, regime: SecrecyRegime, power, fraction, cost_tabl
 
 
 def _best_fractions(rates: np.ndarray):
-    """Reduce the data-fraction axis of a (..., |F|) secrecy-rate grid.
-
-    Backlogs are never negative, so within one (slot, user, power) cell the
-    best fraction does not depend on the queues.  Returns per cell the first
-    index of the largest rate, that rate, and the largest rate at an earlier
-    fraction (0 when there is none), which `_choose_action` reads to detect
-    rounding ties.
-    """
+    """Per (slot, user, power) cell of a (..., |F|) secrecy-rate grid, the first
+    index of the largest rate and that rate."""
     best_f = np.argmax(rates, axis=-1)
-    best_rate = np.take_along_axis(rates, best_f[..., None], axis=-1)[..., 0]
-    before = np.arange(rates.shape[-1]) < best_f[..., None]
-    earlier = np.max(rates, axis=-1, where=before, initial=0.0)
-    return best_f, best_rate, earlier
+    return best_f, np.take_along_axis(rates, best_f[..., None], axis=-1)[..., 0]
 
 
-def _choose_action(backlog, price, cell_rate, cell_f, cell_earlier, rates):
-    """First maximiser (user, power index, fraction index) of U*r - X*P in one slot.
+def _choose_action(backlog, price, cell_rate, cell_f):
+    """Maximiser (user, power index, fraction index, secrecy rate) of U*r - X*P in one slot.
 
     `backlog` holds the K backlogs U and `price` the products X*P of the
-    transmitting powers `power_grid[1:]`.  `cell_rate`, `cell_f` and
-    `cell_earlier` list, per transmitting (user, power) cell in C order,
-    `_best_fractions`' best rate, its fraction index and the largest earlier
-    rate; `rates` is the slot's transmitting grid, read only on ties.
-    Returns (user, p_idx, f_idx, secrecy rate), p_idx indexing `power_grid`.
+    transmitting powers `power_grid[1:]`; `cell_rate` and `cell_f` list, per
+    transmitting (user, power) cell in C order, `_best_fractions`' best rate
+    and its fraction index.  The slot idles (0, 0, 0, 0.0) unless a cell
+    scores above 0, and the first cell wins ties, by user and then by power;
+    p_idx indexes `power_grid`.
 
-    This equals the first flat argmax over the full grid, bit for bit.
-    Every idle cell scores exactly +0.0 (U*0.0 - X*0.0): all its rates are
-    0 in every regime.  Cell (0, 0) is the first in C order and its first
-    fraction the first of its ties, so the argmax is the idle action
-    (0, 0, 0) unless a transmitting cell scores above 0.  Rounding is
-    monotone: with U >= 0, fl(U*r) and fl(fl(U*r) - c) never reorder two
-    rates, they can only merge them into a tie.  So each cell's largest
-    score is the score of its best rate, and the first cell at the maximum
-    is the first cell of the argmax, which a strict `>` from 0.0 finds.
-    Inside it, a fraction before `cell_f` scores the maximum only if the
-    largest earlier rate does, and then the first of them wins.
+    A cell is served at its best rate: with U >= 0 a larger rate never scores
+    lower, in rounded arithmetic too, so that score is the grid's maximum.
     """
     best, chosen = 0.0, None  # every score is finite (`ScenarioConfig.validate`)
     cell = 0
@@ -407,13 +385,7 @@ def _choose_action(backlog, price, cell_rate, cell_f, cell_earlier, rates):
     if chosen is None:
         return 0, 0, 0, 0.0
     user, p_cell = divmod(chosen, len(price))
-    f_idx = cell_f[chosen]
-    rate = cell_rate[chosen]
-    level, c = backlog[user], price[p_cell]
-    if f_idx and level * cell_earlier[chosen] - c == best:
-        f_idx = int(np.argmax(level * rates[user, p_cell, :f_idx] - c == best))
-        rate = float(rates[user, p_cell, f_idx])
-    return user, p_cell + 1, f_idx, rate
+    return user, p_cell + 1, cell_f[chosen], cell_rate[chosen]
 
 
 def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
@@ -450,8 +422,8 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         count = min(chunk, config.n_slots - done)
         legit, eves = sample_realization_batch(config, streams, count)
         arrivals = sample_arrivals(config, streams.arrivals, count)
-        rates, stats = _rate_grids(legit, eves, regime, power[1:], fraction, cost_table)
-        best_f, best_rate, earlier = _best_fractions(rates)
+        best_f, best_rate = _best_fractions(
+            _rate_grids(legit, eves, regime, power[1:], fraction, cost_table))
         # r / P rounds monotonically in r, so the best fraction gives the maximum
         gamma = float(np.max(best_rate / power[1:], initial=gamma))
 
@@ -459,17 +431,17 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         # slot's action and levels; checks and metrics read the columns below.
         chosen, admissions, power_queue_rows = [], [], []
         levels = list(backlog)  # k backlogs entering each slot, then k after the last
-        for t, (arrived, cell_rate, cell_f, cell_earlier) in enumerate(zip(
-                arrivals.tolist(), best_rate.reshape(count, -1).tolist(),
-                best_f.reshape(count, -1).tolist(), earlier.reshape(count, -1).tolist())):
+        for arrived, cell_rate, cell_f in zip(arrivals.tolist(),
+                                              best_rate.reshape(count, -1).tolist(),
+                                              best_f.reshape(count, -1).tolist()):
             # Admission minimizes sum (U_i - V theta_i) R_i over 0 <= R_i <= A_i,
             # the boundary going to full admission; with the allocation below it
             # caps every backlog at V theta_i + A_max.
             admitted = [a if b <= vt else 0.0 for a, b, vt in zip(arrived, backlog, v_theta)]
             # The idle action scores 0, so the objective is never negative;
-            # argmax ties go to the lowest user, then power, then data fraction.
+            # each cell serves its best rate, and ties go to the lowest user, then power.
             price = [power_queue * p for p in transmitting]
-            action = _choose_action(backlog, price, cell_rate, cell_f, cell_earlier, rates[t])
+            action = _choose_action(backlog, price, cell_rate, cell_f)
             user, p_idx, _, slot_rate = action
             backlog[user] = max(backlog[user] - slot_rate, 0.0)
             backlog = [b + a for b, a in zip(backlog, admitted)]
@@ -483,7 +455,7 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         # eavesdropper could have decoded.
         user, p_idx, f_idx, slot_rate = (np.array(column) for column in zip(*chosen))
         levels = np.array(levels).reshape(count + 1, k)
-        codeword, eve, cost = _audit(legit, eves, stats, regime, power, fraction, cost_table,
+        codeword, eve, cost = _audit(legit, eves, regime, power, fraction, cost_table,
                                      user, p_idx, f_idx)
         transmit = slot_rate > 0.0
         columns = SlotTrace(
@@ -520,8 +492,8 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
             for field in fields(SlotTrace):
                 getattr(trace, field.name)[done:done + count] = getattr(columns, field.name)
         done += count
-        # Release this chunk's grids before the next chunk builds its own.
-        del legit, eves, stats, rates
+        # Release this chunk's channels before the next chunk draws its own.
+        del legit, eves
 
     t_total = config.n_slots
     transmit_slots = int(served_slots.sum())

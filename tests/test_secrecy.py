@@ -346,6 +346,10 @@ def test_rate_cost_table():
     assert table[1] == rate_cost_noncolluding(0.25, 0.3, 6, 3)
     with pytest.raises(ConfigError):
         rate_cost_table(grid, SecrecyRegime(csi="instantaneous", colluding=False), 6, 3)
+    # the design is refused even when no fraction needs the threshold
+    for fractions in ([], [0.0, 1.0]):
+        with pytest.raises(ConfigError, match="n_antennas must be at least 2"):
+            rate_cost_table(fractions, SecrecyRegime("partial", True, 0.1), 1, 5)
 
 
 @settings(max_examples=60, deadline=None)

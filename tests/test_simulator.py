@@ -28,7 +28,13 @@ from secsched import (
 )
 import secsched.simulator as simulator
 from secsched.errors import InvariantViolation
-from secsched.secrecy import capacity_grids, channel_stats, rate_cost_table, secrecy_rate_grid
+from secsched.secrecy import (
+    capacity_grids,
+    channel_stats,
+    legit_capacity_grid,
+    rate_cost_table,
+    secrecy_rate_grid,
+)
 
 
 def _small(**kw):
@@ -362,7 +368,7 @@ def test_traced_run_replays_through_batched_kernels(csi, colluding, overrides):
     admitted = np.where(backlog <= config.v * np.asarray(config.theta), arrivals, 0.0)
     assert np.array_equal(trace.admitted, admitted)
 
-    # the chosen action is the first argmax of U * r - X * P
+    # the chosen action follows the per-cell rule on the full grid of U * r - X * P
     cost_table = None
     if csi == "partial":
         cost_table = rate_cost_table(fraction, regime, config.n_antennas, config.n_eves)
@@ -370,8 +376,7 @@ def test_traced_run_replays_through_batched_kernels(csi, colluding, overrides):
     cap_users, cap_eves = capacity_grids(stats, power, fraction)
     rates = secrecy_rate_grid(cap_users, cap_eves if cost_table is None else cost_table)
     score = backlog[:, :, None, None] * rates - virtual[:, None, None, None] * power[:, None]
-    flat = np.argmax(score.reshape(t_all, -1), axis=1)
-    user, p_idx, f_idx = np.unravel_index(flat, score.shape[1:])
+    user, p_idx, f_idx = _rule_choice(score, rates)
     slot = np.arange(t_all)
     assert np.array_equal(trace.user, user)
     assert np.array_equal(trace.power, power[p_idx])
@@ -396,42 +401,57 @@ def test_traced_run_replays_through_batched_kernels(csi, colluding, overrides):
 
 # --- the per-slot action choice -------------------------------------------------
 
-def _full_grid_choice(backlog, power_queue, power, rates):
-    """The first argmax of the full grid: the idle column (power 0, rates 0),
-    then the transmitting `power`s and their `rates`."""
+def _rule_choice(score, rates):
+    """The per-cell rule by brute force over full (slots, K, |P|, |F|) grids,
+    the idle power first: each slot serves the first (user, power) cell, in C
+    order, whose best score is the slot's maximum, at the first fraction of
+    that cell's largest rate.  The idle cell (0, 0) comes first, so a slot
+    idles unless a transmitting cell scores above 0.  The served action's
+    rounded score must be the maximum of the whole grid."""
+    t_all, _, n_p, _ = score.shape
+    slot = np.arange(t_all)
+    user, p_idx = np.divmod(np.argmax(score.max(axis=-1).reshape(t_all, -1), axis=1), n_p)
+    f_idx = np.argmax(rates[slot, user, p_idx], axis=-1)
+    assert np.array_equal(score[slot, user, p_idx, f_idx], score.max(axis=(1, 2, 3)))
+    return user, p_idx, f_idx
+
+
+def _slot_rule(backlog, power_queue, power, rates):
+    """`_rule_choice` in one slot whose transmitting `power`s have `rates`,
+    with the idle column (power 0, rates 0) added."""
     rates = np.concatenate([np.zeros(rates.shape[:1] + (1,) + rates.shape[2:]), rates], axis=1)
     power = np.concatenate([[0.0], power])
     score = np.asarray(backlog)[:, None, None] * rates - power_queue * power[:, None]
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(score)), score.shape))
+    return tuple(int(index[0]) for index in _rule_choice(score[None], rates[None]))
 
 
 def _cell_choice(backlog, power_queue, power, rates):
-    best_f, best_rate, earlier = simulator._best_fractions(rates)
+    best_f, best_rate = simulator._best_fractions(rates)
     user, p_idx, f_idx, rate = simulator._choose_action(
         [float(u) for u in backlog], [power_queue * float(p) for p in power],
-        best_rate.ravel().tolist(), best_f.ravel().tolist(), earlier.ravel().tolist(), rates)
+        best_rate.ravel().tolist(), best_f.ravel().tolist())
     assert rate == (rates[user, p_idx - 1, f_idx] if p_idx else 0.0)
     return user, p_idx, f_idx
 
 
-def test_action_choice_ties_match_the_full_grid_argmax():
-    # Each grid below is the transmitting part; the brute force adds the idle column.
+def test_action_choice_serves_each_cell_at_its_best_rate():
+    # Each grid below is the transmitting part; the oracle adds the idle column.
     rng = np.random.default_rng(5)
     rates = rng.uniform(0.0, 5.0, size=(2, 3, 4))[:, 1:]
     # U = 0: every fraction of a user scores -X*P
     for backlog, power_queue in (([0.0, 0.0], 0.0), ([0.0, 0.0], 3.0), ([0.0, 2.0], 3.0)):
         assert _cell_choice(backlog, power_queue, [1.0, 2.0], rates) == \
-            _full_grid_choice(backlog, power_queue, [1.0, 2.0], rates)
+            _slot_rule(backlog, power_queue, [1.0, 2.0], rates)
     assert _cell_choice([0.0, 0.0], 3.0, [1.0, 2.0], rates) == (0, 0, 0)
 
     # products that round equal: adjacent rates times U = 1.5 * 2**53 (a power
-    # of two would multiply exactly), so the earlier fraction wins
+    # of two would multiply exactly); the cell serves its larger rate
     level = 1.5 * 2.0**53
     low, high = 6.004923751903786, 6.004923751903787
     assert low < high and level * low == level * high
     tied = np.array([[[0.5, low, 0.25, high]], [[1.0, 2.0, 3.0, 4.0]]])
-    assert _cell_choice([level, 1.0], 0.0, [1.0], tied) == (0, 1, 1)
-    assert _full_grid_choice([level, 1.0], 0.0, [1.0], tied) == (0, 1, 1)
+    assert _cell_choice([level, 1.0], 0.0, [1.0], tied) == (0, 1, 3)
+    assert _slot_rule([level, 1.0], 0.0, [1.0], tied) == (0, 1, 3)
 
     # X*P = 2**53 leaves U*r - X*P a spacing of 1: 0.6, 1.4 and 1.45 score
     # alike although their products differ; X*P = 2**60 absorbs U*r whole.
@@ -440,15 +460,15 @@ def test_action_choice_ties_match_the_full_grid_argmax():
     assert 1.0 * 0.6 - 2.0**53 == 1.0 * 1.45 - 2.0**53
     for power_queue in (2.0**53, 2.0**60):
         assert _cell_choice([1.0], power_queue, [1.0], absorbed) == (0, 0, 0)
-        assert _full_grid_choice([1.0], power_queue, [1.0], absorbed) == (0, 0, 0)
+        assert _slot_rule([1.0], power_queue, [1.0], absorbed) == (0, 0, 0)
 
     # a positive tie made by the subtraction: 15 - X and its successor - X
-    # both round to 14 with X = 1 + 2**-50, so fraction 0 wins
+    # both round to 14 with X = 1 + 2**-50, and the cell serves the successor
     price = 1.0 + 2.0**-50
     subtracted = np.array([[[15.0, np.nextafter(15.0, 16.0)]]])
     assert 15.0 - price == np.nextafter(15.0, 16.0) - price == 14.0
-    assert _cell_choice([1.0], price, [1.0], subtracted) == (0, 1, 0)
-    assert _full_grid_choice([1.0], price, [1.0], subtracted) == (0, 1, 0)
+    assert _cell_choice([1.0], price, [1.0], subtracted) == (0, 1, 1)
+    assert _slot_rule([1.0], price, [1.0], subtracted) == (0, 1, 1)
 
     # random states, with coarse rates and backlogs so exact ties are common;
     # no transmitting power at all (power_grid = [0]) included
@@ -464,7 +484,7 @@ def test_action_choice_ties_match_the_full_grid_argmax():
         power = np.sort(rng.choice([1.0, 100.0, 250.0, 300.0], size=n_p, replace=False))
         power_queue = float(rng.choice([0.0, 0.5, 40.0, 2.0**53, rng.uniform(0.0, 1e4)]))
         assert _cell_choice(backlog, power_queue, power, grid) == \
-            _full_grid_choice(backlog, power_queue, power, grid)
+            _slot_rule(backlog, power_queue, power, grid)
 
 
 def _assert_same_run(a: RunMetrics, b: RunMetrics):
@@ -520,26 +540,34 @@ def test_a_chunk_bounded_by_memory_changes_no_result(config, monkeypatch):
     assert counts == [7] * 85 + [5]
 
 
-@pytest.mark.parametrize("colluding", [False, True],
-                         ids=["instantaneous-noncolluding", "instantaneous-colluding"])
-def test_only_the_rate_grid_crosses_the_recursion(colluding, monkeypatch):
-    grids, alive = [], []
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(n_slots=50),
+    ScenarioConfig(colluding=True, n_slots=50),
+    ScenarioConfig(csi="partial", eta=0.1, colluding=True, n_slots=50),
+], ids=["instantaneous-noncolluding", "instantaneous-colluding", "partial-colluding"])
+def test_no_grid_or_chunk_statistic_crosses_the_recursion(config, monkeypatch):
+    arrays, alive = [], []
 
-    def recorded(*args):
-        result = capacity_grids(*args)
-        grids.extend(weakref.ref(grid) for grid in result)
-        return result
+    def recorded(kernel):
+        def call(*args):
+            result = kernel(*args)
+            outputs = (vars(result).values() if kernel is channel_stats
+                       else result if kernel is capacity_grids else [result])
+            arrays.extend(weakref.ref(a) for a in outputs if isinstance(a, np.ndarray))
+            return result
+        return call
 
     def choose(*args):
         if not alive:
-            alive.append([ref() is not None for ref in grids])
+            alive.append([ref() is not None for ref in arrays])
         return choose_action(*args)
 
     choose_action = simulator._choose_action
-    monkeypatch.setattr(simulator, "capacity_grids", recorded)
+    for kernel in (capacity_grids, legit_capacity_grid, secrecy_rate_grid, channel_stats):
+        monkeypatch.setattr(simulator, kernel.__name__, recorded(kernel))
     monkeypatch.setattr(simulator, "_choose_action", choose)
-    run(_small(n_slots=50, colluding=colluding))
-    assert alive == [[False, False]]
+    run(config)
+    assert len(alive) == 1 and alive[0] and not any(alive[0])
 
 
 @pytest.mark.parametrize("config", [
