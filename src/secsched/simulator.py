@@ -9,11 +9,11 @@ only implementation of this drift-plus-penalty controller (M. J. Neely,
 Queueing Systems", Morgan & Claypool, 2010).  It works on chunks of slots in
 three steps:
 
-* batched: channels and the secrecy-rate grid, reduced at once to the best
-  rate of every (slot, user, power) cell and its data fraction, which do not
-  depend on the queues because backlogs are never negative.  They cover the
-  transmitting powers `power_grid[1:]` alone, since `power_grid[0]` is the
-  idle power 0;
+* batched: channels, and each (slot, user, power) cell's best secrecy rate
+  and its data fraction, reduced while the fractions are swept one at a time,
+  so no grid over them exists.  Backlogs are never negative, so these do not
+  depend on the queues; they cover the transmitting powers `power_grid[1:]`
+  alone, since `power_grid[0]` is the idle power 0;
 * sequential: only the queue recursion in Python floats, which starts every
   slot idle and serves the first cell that scores more, at its best rate
   (`_choose_action`);
@@ -173,8 +173,9 @@ class ScenarioConfig:
         if self._slot_doubles() > _CHUNK_DOUBLES:
             problems.append(
                 f"one slot needs {_bounded(self._slot_doubles())} doubles, "
-                "n_users*len(power_grid)*len(ratio_grid) + 2*n_antennas*(n_users + n_eves)"
-                f"{' + 2*n_users*n_eves**2' if self.colluding else ''}, more than the "
+                "11*n_users*(len(power_grid) - 1) + 9*n_users*n_eves + 18*n_users + 64 "
+                "+ n_antennas*(2*(n_users + n_eves) + 5*max(n_users, n_eves, 2))"
+                f"{' + 2*(2*n_users + 1)*n_eves**2' if self.colluding else ''}, more than the "
                 f"{_CHUNK_DOUBLES} of a chunk"
             )
         for name in ("n_users", "n_slots"):
@@ -220,12 +221,13 @@ class ScenarioConfig:
         return self
 
     def _slot_doubles(self) -> int:
-        """Doubles one slot holds in a chunk: its K x |P| x |F| grid, its complex
-        channel rows and, when colluding, its K noise Grams of N_E x N_E."""
+        """Doubles one slot holds in a chunk, each part at its own peak: its cells, (user,
+        eavesdropper) pairs and users, its channel rows with their sampling and audit copies
+        and, when colluding, its noise Grams with their `eigh` outputs."""
         k, n_eves = self.n_users, self.n_eves
-        grams = 2 * k * n_eves * n_eves if self.colluding else 0
-        return (k * len(self.power_grid) * len(self.ratio_grid)
-                + 2 * self.n_antennas * (k + n_eves) + grams)
+        grams = 2 * (2 * k + 1) * n_eves * n_eves if self.colluding else 0
+        return (11 * k * (len(self.power_grid) - 1) + 9 * k * n_eves + 18 * k + 64
+                + self.n_antennas * (2 * (k + n_eves) + 5 * max(k, n_eves, 2)) + grams)
 
     def _score_overflow(self) -> list[str]:
         """The slot score U*r - X*P and the run's sums must stay finite.
@@ -322,18 +324,24 @@ def sample_arrivals(config, rng: np.random.Generator, count: int) -> np.ndarray:
     return draws.astype(float)
 
 
-def _rate_grids(legit, eves, regime: SecrecyRegime, power, fraction, cost_table):
-    """Secrecy-rate grid of one chunk.
-
-    Each secrecy rate is priced at the eavesdropper grid, or under partial CSI
-    at the rate-cost table: then it reads only the users' gains ||h||^2 (the
-    expression of `channel_stats`).
-    """
-    if regime.csi == PARTIAL:
-        gain = np.sum(legit.real**2 + legit.imag**2, axis=-1)
-        return secrecy_rate_grid(legit_capacity_grid(gain, power[:, None], fraction), cost_table)
-    return secrecy_rate_grid(*capacity_grids(channel_stats(legit, eves, regime.colluding),
-                                             power, fraction))
+def _best_cells(legit, eves, regime: SecrecyRegime, power, fraction, cost_table):
+    """Per (slot, user, power) cell of one chunk, the first index of the largest secrecy
+    rate over the data fractions and that rate, swept one fraction at a time, so no grid
+    over them exists.  A rate is priced at the eavesdropper capacity, or under partial CSI
+    at the rate-cost table: then it reads only the gains ||h||^2 (as `channel_stats`)."""
+    partial = regime.csi == PARTIAL
+    stats = None if partial else channel_stats(legit, eves, regime.colluding)
+    gain = np.sum(legit.real**2 + legit.imag**2, axis=-1) if partial else None
+    best_rate = np.full(legit.shape[:-1] + power.shape, -np.inf)
+    best_f = np.zeros(best_rate.shape, dtype=np.intp)
+    for j in range(len(fraction)):
+        rate = (secrecy_rate_grid(legit_capacity_grid(gain, power[:, None], fraction[j:j + 1]),
+                                  cost_table[j:j + 1]) if partial
+                else secrecy_rate_grid(*capacity_grids(stats, power, fraction[j:j + 1])))[..., 0]
+        better = rate > best_rate  # strictly, so the first largest rate stays, as in argmax
+        np.copyto(best_rate, rate, where=better)
+        best_f[better] = j
+    return best_f, best_rate
 
 
 def _audit(legit, eves, regime: SecrecyRegime, power, fraction, cost_table, user, p_idx, f_idx):
@@ -354,25 +362,18 @@ def _audit(legit, eves, regime: SecrecyRegime, power, fraction, cost_table, user
     return codeword, eve, eve if regime.csi == INSTANTANEOUS else cost_table[f_idx]
 
 
-def _best_fractions(rates: np.ndarray):
-    """Per (slot, user, power) cell of a (..., |F|) secrecy-rate grid, the first
-    index of the largest rate and that rate."""
-    best_f = np.argmax(rates, axis=-1)
-    return best_f, np.take_along_axis(rates, best_f[..., None], axis=-1)[..., 0]
-
-
 def _choose_action(backlog, price, cell_rate, cell_f):
     """Maximiser (user, power index, fraction index, secrecy rate) of U*r - X*P in one slot.
 
     `backlog` holds the K backlogs U and `price` the products X*P of the
     transmitting powers `power_grid[1:]`; `cell_rate` and `cell_f` list, per
-    transmitting (user, power) cell in C order, `_best_fractions`' best rate
+    transmitting (user, power) cell in C order, `_best_cells`' best rate
     and its fraction index.  The slot idles (0, 0, 0, 0.0) unless a cell
     scores above 0, and the first cell wins ties, by user and then by power;
     p_idx indexes `power_grid`.
 
     A cell is served at its best rate: with U >= 0 a larger rate never scores
-    lower, in rounded arithmetic too, so that score is the grid's maximum.
+    lower, in rounded arithmetic too, so no other fraction of it scores more.
     """
     best, chosen = 0.0, None  # every score is finite (`ScenarioConfig.validate`)
     cell = 0
@@ -422,8 +423,7 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         count = min(chunk, config.n_slots - done)
         legit, eves = sample_realization_batch(config, streams, count)
         arrivals = sample_arrivals(config, streams.arrivals, count)
-        best_f, best_rate = _best_fractions(
-            _rate_grids(legit, eves, regime, power[1:], fraction, cost_table))
+        best_f, best_rate = _best_cells(legit, eves, regime, power[1:], fraction, cost_table)
         # r / P rounds monotonically in r, so the best fraction gives the maximum
         gamma = float(np.max(best_rate / power[1:], initial=gamma))
 
@@ -492,8 +492,8 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
             for field in fields(SlotTrace):
                 getattr(trace, field.name)[done:done + count] = getattr(columns, field.name)
         done += count
-        # Release this chunk's channels before the next chunk draws its own.
-        del legit, eves
+        # Release this chunk's channels and cells before the next chunk makes its own.
+        del legit, eves, best_f, best_rate
 
     t_total = config.n_slots
     transmit_slots = int(served_slots.sum())

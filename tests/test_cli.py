@@ -287,9 +287,9 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_run_bounds_the_chunk_of_a_large_grid(tmp_path, monkeypatch):
-    # 64 users x 11 powers x 101 fractions: a 4096-slot chunk would hold
-    # three 2.2 GiB grids, so the chunk shrinks to the memory budget; one
-    # slot holds 64*11*101 + 2*6*(64 + 3) = 71 908 doubles
+    # 64 users x 11 powers x 101 fractions: a slot's cells, their lists and one
+    # fraction's temporaries outgrow a 4096-slot chunk, so the chunk shrinks to
+    # the memory budget (`ScenarioConfig._slot_doubles`)
     counts = []
 
     def sample(config, streams, count):
@@ -301,7 +301,9 @@ def test_run_bounds_the_chunk_of_a_large_grid(tmp_path, monkeypatch):
                         power_grid=[30.0 * i for i in range(11)],
                         ratio_grid=[i / 100 for i in range(101)], n_slots=200)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
-    assert sum(counts) == 200 and max(counts) * 71_908 <= simulator._CHUNK_DOUBLES
+    slot = cli.scenario_from_doc(json.loads(Path(cfg).read_text()))._slot_doubles()
+    assert sum(counts) == 200 and max(counts) * slot <= simulator._CHUNK_DOUBLES
+    assert max(counts) < simulator._CHUNK
 
 
 def test_run_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import math
 import operator
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -177,8 +178,8 @@ def test_validate_rejects_overflowing_scores():
 
 
 @pytest.mark.parametrize("overrides,doubles", [
-    (dict(n_users=2**70), "about 1.13e23"), (dict(n_users=10**9), "96000000036"),
-    (dict(n_antennas=10**400, csi="partial", eta=0.1), "about 1e401"),
+    (dict(n_users=2**70), "about 1.42e23"), (dict(n_users=10**9), "120000000100"),
+    (dict(n_antennas=10**400, csi="partial", eta=0.1), "about 2.5e401"),
 ], ids=["n_users-2**70", "n_users-10**9", "partial-n_antennas-10**400"])
 def test_a_slot_beyond_the_chunk_budget_is_refused(overrides, doubles):
     # refused by its size alone, before theta is filled or the partial design
@@ -186,8 +187,10 @@ def test_a_slot_beyond_the_chunk_budget_is_refused(overrides, doubles):
     with pytest.raises(ConfigError) as refused:
         ScenarioConfig(**overrides).validate()
     assert str(refused.value) == (
-        f"one slot needs {doubles} doubles, n_users*len(power_grid)*len(ratio_grid) "
-        "+ 2*n_antennas*(n_users + n_eves), more than the 2097152 of a chunk")
+        f"one slot needs {doubles} doubles, 11*n_users*(len(power_grid) - 1) "
+        "+ 9*n_users*n_eves + 18*n_users + 64 "
+        "+ n_antennas*(2*(n_users + n_eves) + 5*max(n_users, n_eves, 2)), "
+        "more than the 2097152 of a chunk")
     # a theta that was given is still checked against n_users
     with pytest.raises(ConfigError, match="theta needs one positive"):
         ScenarioConfig(**overrides, theta=(1.0,)).validate()
@@ -425,8 +428,15 @@ def _slot_rule(backlog, power_queue, power, rates):
     return tuple(int(index[0]) for index in _rule_choice(score[None], rates[None]))
 
 
+def _argmax_cells(rates):
+    """Per cell of a full grid, the first index of the largest rate over its
+    last (fraction) axis, by `np.argmax`, and that rate."""
+    best_f = np.argmax(rates, axis=-1)
+    return best_f, np.take_along_axis(rates, best_f[..., None], axis=-1)[..., 0]
+
+
 def _cell_choice(backlog, power_queue, power, rates):
-    best_f, best_rate = simulator._best_fractions(rates)
+    best_f, best_rate = _argmax_cells(rates)
     user, p_idx, f_idx, rate = simulator._choose_action(
         [float(u) for u in backlog], [power_queue * float(p) for p in power],
         best_rate.ravel().tolist(), best_f.ravel().tolist())
@@ -588,13 +598,87 @@ def test_the_grids_hold_only_the_transmitting_powers(config, monkeypatch):
     monkeypatch.setattr(simulator, "capacity_grids", recorded(capacity_grids))
     monkeypatch.setattr(simulator, "secrecy_rate_grid", recorded(secrecy_rate_grid))
     run(config)
-    assert len(shapes) == (3 if config.csi == "instantaneous" else 1)
-    assert {shape[-2:] for shape in shapes} == {(len(config.power_grid) - 1,
-                                                 len(config.ratio_grid))}
+    # no idle column and no fraction axis: one call per fraction, each one column wide
+    per_fraction = 3 if config.csi == "instantaneous" else 1
+    assert len(shapes) == per_fraction * len(config.ratio_grid)
+    assert {shape[-2:] for shape in shapes} == {(len(config.power_grid) - 1, 1)}
 
 
 _REGIMES = [("instantaneous", False, 0.0), ("instantaneous", True, 0.0),
             ("partial", False, 0.3), ("partial", True, 0.3)]
+
+
+def _full_grid_cells(legit, eves, regime, power, fraction, cost_table):
+    """`_best_cells` by the full (slots, K, |P|, |F|) secrecy-rate grid, reduced by
+    `np.argmax` over its fraction axis; also returns the grid."""
+    cap_users, cap_eves = capacity_grids(channel_stats(legit, eves, regime.colluding),
+                                         power, fraction)
+    rates = secrecy_rate_grid(cap_users, cap_eves if cost_table is None else cost_table)
+    return (*_argmax_cells(rates), rates)
+
+
+@pytest.mark.parametrize("regime", _REGIMES, ids=lambda regime: "-".join(map(str, regime[:2])))
+@pytest.mark.parametrize("power_grid,ratio_grid,ties", [
+    (ScenarioConfig.power_grid, ScenarioConfig.ratio_grid, False),
+    # a repeated fraction repeats its rate; fraction 0 (no data) has rate 0, and
+    # so has fraction 1 (no artificial noise) wherever its price reaches the
+    # codeword rate, always under partial CSI: each tie of the largest rate goes
+    # to the first index
+    ((0.0, 50.0, 300.0), (0.0, 0.3, 0.3, 0.7, 1.0), True),
+    ((0.0, 50.0, 300.0), (0.0, 1.0), True),
+    ((0.0, 100.0), (0.5,), False),
+    ((0.0,), (0.0, 0.5, 1.0), False),
+], ids=["defaults", "repeated-fraction", "clamped-fractions", "one-fraction",
+        "no-transmitting-power"])
+def test_best_cells_match_the_full_grid_argmax(regime, power_grid, ratio_grid, ties):
+    csi, colluding, eta = regime
+    config = ScenarioConfig(n_users=3, csi=csi, colluding=colluding, eta=eta)
+    legit, eves = sample_realization_batch(config, RngStreams(17), 500)
+    power, fraction = np.asarray(power_grid)[1:], np.asarray(ratio_grid)
+    cost_table = (rate_cost_table(fraction, config.regime, config.n_antennas, config.n_eves)
+                  if csi == "partial" else None)
+    best_f, best_rate = simulator._best_cells(legit, eves, config.regime, power, fraction,
+                                              cost_table)
+    oracle_f, oracle_rate, rates = _full_grid_cells(legit, eves, config.regime, power,
+                                                    fraction, cost_table)
+    assert best_f.shape == best_rate.shape == (500, 3, len(power))
+    assert np.array_equal(best_f, oracle_f)
+    assert best_rate.tobytes() == oracle_rate.tobytes()
+    if ties:  # they happen
+        assert np.any(np.sum(rates == best_rate[..., None], axis=-1) > 1)
+
+
+_LARGE_GRID = dict(n_users=64, power_grid=tuple(30.0 * i for i in range(11)),
+                   ratio_grid=tuple(i / 100 for i in range(101)))
+
+
+@pytest.mark.parametrize("overrides", [
+    _LARGE_GRID, dict(n_antennas=512), dict(n_antennas=64, n_eves=40, colluding=True),
+    *(dict(csi=csi, colluding=colluding, eta=eta) for csi, colluding, eta in _REGIMES),
+], ids=["64x11x101", "512-antennas", "40-colluding-eavesdroppers",
+        *("-".join(map(str, regime[:2])) for regime in _REGIMES)])
+def test_a_chunk_holds_no_more_than_its_budget(overrides, monkeypatch):
+    # the budget binds (the defaults' 4096-slot cap is lifted), and the run
+    # covers two full chunks and one more slot
+    monkeypatch.setattr(simulator, "_CHUNK", 10**9)
+    chunk = simulator._CHUNK_DOUBLES // ScenarioConfig(**overrides)._slot_doubles()
+    config = ScenarioConfig(n_slots=2 * chunk + 1, seed=3, **overrides)
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simulator._CHUNK_DOUBLES * 8
+
+
+def test_a_long_ratio_grid_is_not_counted_against_the_budget():
+    # 64 users x 10 transmitting powers x 3000 fractions: the fractions are
+    # swept one at a time, so the grid length adds nothing to a slot's count
+    config = ScenarioConfig(n_slots=2, **dict(_LARGE_GRID, ratio_grid=tuple(
+        i / 2999 for i in range(3000)))).validate()
+    assert config._slot_doubles() == ScenarioConfig(**_LARGE_GRID)._slot_doubles()
+    assert run(config).n_slots == 2
 
 
 @settings(max_examples=25, deadline=None)
