@@ -331,7 +331,8 @@ def legit_capacity_grid(legit_gain: np.ndarray, power: np.ndarray,
 
     Needs only the squared channel norms, since artificial noise is invisible
     to the intended receiver.  `power` and `fraction` broadcast as in
-    `eve_capacity`, so the run's audit of one chosen pair equals the grid.
+    `eve_capacity`, so the run's audit of one chosen pair equals the grid,
+    and so does the run's power-major sweep.
     """
     grid = 1.0 + power * fraction * legit_gain[..., None, None]
     return np.log2(grid, out=grid)
@@ -342,6 +343,9 @@ def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.n
 
     Returns (legit, eve) arrays of shape stats.legit_gain.shape + (n_powers,
     n_fractions): `legit_capacity_grid` and `eve_capacity` on the whole grid.
+    `power_grid` gains one trailing axis, so a grid of shape (n_powers, 1, ..., 1)
+    with stats.legit_gain.ndim + 1 unit axes puts the powers first instead:
+    (n_powers,) + stats.legit_gain.shape + (1, n_fractions), power-major in C order.
     """
     power = np.asarray(power_grid, dtype=float)[:, None]
     fraction = np.asarray(ratio_grid, dtype=float)
@@ -352,9 +356,14 @@ def capacity_grids(stats: ChannelStats, power_grid: np.ndarray, ratio_grid: np.n
 def eve_capacity(stats: ChannelStats, power: np.ndarray, fraction: np.ndarray) -> np.ndarray:
     """Realized capacity of the configured eavesdroppers, thermal noise included.
 
-    `power` and `fraction` broadcast against the result's shape
-    stats.legit_gain.shape + (n_powers, n_fractions); the run's audit passes
-    each slot's chosen pair as a 1 x 1 grid.  Eavesdroppers are folded in
+    `power` and `fraction` broadcast against the statistics' shape
+    stats.legit_gain.shape + (1, 1).  A (n_powers, 1) column and a fraction row
+    give the grid stats.legit_gain.shape + (n_powers, n_fractions), and the
+    run's audit passes each slot's chosen pair as a 1 x 1 grid.  A power array
+    with stats.legit_gain.ndim + 2 unit axes after its own, (n_powers, 1, ..., 1),
+    broadcasts as a leading axis: the result is (n_powers,) +
+    stats.legit_gain.shape + (1, n_fractions), and each of its elementwise loops
+    runs over the statistics, not over the powers.  Eavesdroppers are folded in
     index order (a running max or sum), never reduced as an axis, which numpy
     may sum pairwise: a value does not depend on the grid around it, so the
     audit equals `capacity_grids`.

@@ -11,18 +11,21 @@ three steps:
 
 * batched: channels, and each (slot, user, power) cell's best secrecy rate
   and its data fraction, reduced while the fractions are swept one at a time,
-  so no grid over them exists.  Backlogs are never negative, so these do not
-  depend on the queues; they cover the transmitting powers `power_grid[1:]`
-  alone, since `power_grid[0]` is the idle power 0;
+  so no grid over them exists.  The sweep is power-major: the powers are the
+  kernels' leading axis, so their loops run over slots x users.  Backlogs are
+  never negative, so these do not depend on the queues; they cover the
+  transmitting powers `power_grid[1:]` alone, since `power_grid[0]` is the
+  idle power 0;
 * sequential: only the queue recursion in Python floats, which starts every
   slot idle and serves the first cell that scores more, at its best rate
-  (`_choose_action`);
-* batched again: the chunk's `SlotTrace` columns, with the audit of the
-  chosen actions (codeword rate, eavesdropper capacity, rate cost, outage),
-  which in every regime recomputes the served rows' channel statistics and
-  evaluates the capacity kernels at each chosen action alone, so only the
-  per-cell arrays and the channels cross the recursion.  The cap check,
-  every metric and the trace are slot-order reductions of them.
+  (`_choose_action`).  It lists only the cells' rates and records one cell
+  index per slot;
+* batched again: the chunk's `SlotTrace` columns, gathered by those indices,
+  with the audit of the chosen actions (codeword rate, eavesdropper capacity,
+  rate cost, outage), which in every regime recomputes the served rows'
+  channel statistics and evaluates the capacity kernels at each chosen action
+  alone, so only the per-cell arrays and the channels cross the recursion.
+  The cap check, every metric and the trace are slot-order reductions of them.
 
 A chunk holds at most `_CHUNK` slots, and fewer when its slots would hold
 more than `_CHUNK_DOUBLES` doubles (`ScenarioConfig._slot_doubles`).
@@ -328,20 +331,27 @@ def _best_cells(legit, eves, regime: SecrecyRegime, power, fraction, cost_table)
     """Per (slot, user, power) cell of one chunk, the first index of the largest secrecy
     rate over the data fractions and that rate, swept one fraction at a time, so no grid
     over them exists.  A rate is priced at the eavesdropper capacity, or under partial CSI
-    at the rate-cost table: then it reads only the gains ||h||^2 (as `channel_stats`)."""
+    at the rate-cost table: then it reads only the gains ||h||^2 (as `channel_stats`).
+
+    The sweep is power-major: the powers enter the kernels as a leading axis, so each
+    fraction's rates are (powers, slots, users, 1, 1) in C order and every elementwise op,
+    the running maximum and the index update walk slots x users contiguously.  Both
+    results are (slots, users, powers): the fraction indices a view of their buffer, the
+    rates a C-order copy, so a slot's row lists its cells in (user, power) order."""
     partial = regime.csi == PARTIAL
     stats = None if partial else channel_stats(legit, eves, regime.colluding)
     gain = np.sum(legit.real**2 + legit.imag**2, axis=-1) if partial else None
-    best_rate = np.full(legit.shape[:-1] + power.shape, -np.inf)
+    lead = power.reshape(-1, 1, 1, 1)  # (powers, 1, 1, 1): `capacity_grids` adds the fraction axis
+    best_rate = np.full(power.shape + legit.shape[:-1], -np.inf)
     best_f = np.zeros(best_rate.shape, dtype=np.intp)
     for j in range(len(fraction)):
-        rate = (secrecy_rate_grid(legit_capacity_grid(gain, power[:, None], fraction[j:j + 1]),
+        rate = (secrecy_rate_grid(legit_capacity_grid(gain, lead[..., None], fraction[j:j + 1]),
                                   cost_table[j:j + 1]) if partial
-                else secrecy_rate_grid(*capacity_grids(stats, power, fraction[j:j + 1])))[..., 0]
+                else secrecy_rate_grid(*capacity_grids(stats, lead, fraction[j:j + 1])))[..., 0, 0]
         better = rate > best_rate  # strictly, so the first largest rate stays, as in argmax
         np.copyto(best_rate, rate, where=better)
-        best_f[better] = j
-    return best_f, best_rate
+        np.copyto(best_f, j, where=better)
+    return np.moveaxis(best_f, 0, -1), np.ascontiguousarray(np.moveaxis(best_rate, 0, -1))
 
 
 def _audit(legit, eves, regime: SecrecyRegime, power, fraction, cost_table, user, p_idx, f_idx):
@@ -362,20 +372,20 @@ def _audit(legit, eves, regime: SecrecyRegime, power, fraction, cost_table, user
     return codeword, eve, eve if regime.csi == INSTANTANEOUS else cost_table[f_idx]
 
 
-def _choose_action(backlog, price, cell_rate, cell_f):
-    """Maximiser (user, power index, fraction index, secrecy rate) of U*r - X*P in one slot.
+def _choose_action(backlog, price, cell_rate):
+    """Flat index of the (user, power) cell that maximizes U*r - X*P in one slot, or -1 to idle.
 
     `backlog` holds the K backlogs U and `price` the products X*P of the
-    transmitting powers `power_grid[1:]`; `cell_rate` and `cell_f` list, per
-    transmitting (user, power) cell in C order, `_best_cells`' best rate
-    and its fraction index.  The slot idles (0, 0, 0, 0.0) unless a cell
-    scores above 0, and the first cell wins ties, by user and then by power;
-    p_idx indexes `power_grid`.
+    transmitting powers `power_grid[1:]`; `cell_rate` lists, per transmitting
+    (user, power) cell in C order, `_best_cells`' best rate, so cell c is user
+    c // len(price) at power index c % len(price) + 1 of `power_grid`.  The
+    slot idles unless a cell scores above 0, and the first cell wins ties, by
+    user and then by power.
 
     A cell is served at its best rate: with U >= 0 a larger rate never scores
     lower, in rounded arithmetic too, so no other fraction of it scores more.
     """
-    best, chosen = 0.0, None  # every score is finite (`ScenarioConfig.validate`)
+    best, chosen = 0.0, -1  # every score is finite (`ScenarioConfig.validate`)
     cell = 0
     for level in backlog:
         for c in price:
@@ -383,10 +393,7 @@ def _choose_action(backlog, price, cell_rate, cell_f):
             if score > best:
                 best, chosen = score, cell
             cell += 1
-    if chosen is None:
-        return 0, 0, 0, 0.0
-    user, p_cell = divmod(chosen, len(price))
-    return user, p_cell + 1, cell_f[chosen], cell_rate[chosen]
+    return chosen
 
 
 def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
@@ -402,8 +409,8 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
                   if regime.csi == PARTIAL else None)
 
     streams = RngStreams(config.seed)
-    power_levels = list(config.power_grid)
-    transmitting = power_levels[1:]  # power_levels[0] is the idle action's 0
+    transmitting = list(config.power_grid[1:])  # power_grid[0] is the idle action's 0
+    n_transmitting = len(transmitting)
     p_av = config.p_av
     v_theta = [config.v * t for t in config.theta]
     queue_cap = [vt + config.a_max for vt in v_theta]
@@ -428,12 +435,11 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         gamma = float(np.max(best_rate / power[1:], initial=gamma))
 
         # The sequential recursion, in Python floats.  It only records each
-        # slot's action and levels; checks and metrics read the columns below.
+        # slot's chosen cell and levels; checks and metrics read the columns below.
+        cell_rates = best_rate.reshape(count, -1)  # the (user, power) cells of each slot
         chosen, admissions, power_queue_rows = [], [], []
         levels = list(backlog)  # k backlogs entering each slot, then k after the last
-        for arrived, cell_rate, cell_f in zip(arrivals.tolist(),
-                                              best_rate.reshape(count, -1).tolist(),
-                                              best_f.reshape(count, -1).tolist()):
+        for arrived, cell_rate in zip(arrivals.tolist(), cell_rates.tolist()):
             # Admission minimizes sum (U_i - V theta_i) R_i over 0 <= R_i <= A_i,
             # the boundary going to full admission; with the allocation below it
             # caps every backlog at V theta_i + A_max.
@@ -441,19 +447,29 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
             # The idle action scores 0, so the objective is never negative;
             # each cell serves its best rate, and ties go to the lowest user, then power.
             price = [power_queue * p for p in transmitting]
-            action = _choose_action(backlog, price, cell_rate, cell_f)
-            user, p_idx, _, slot_rate = action
-            backlog[user] = max(backlog[user] - slot_rate, 0.0)
+            cell = _choose_action(backlog, price, cell_rate)
+            power_queue = max(power_queue - p_av, 0.0)
+            if cell >= 0:
+                user, p_cell = divmod(cell, n_transmitting)
+                backlog[user] = max(backlog[user] - cell_rate[cell], 0.0)
+                power_queue += transmitting[p_cell]
             backlog = [b + a for b, a in zip(backlog, admitted)]
-            power_queue = max(power_queue - p_av, 0.0) + power_levels[p_idx]
-            chosen.append(action)
+            chosen.append(cell)
             admissions += admitted
             levels += backlog
             power_queue_rows.append(power_queue)
 
-        # The chunk's columns, with the audit of the chosen actions: whether an
-        # eavesdropper could have decoded.
-        user, p_idx, f_idx, slot_rate = (np.array(column) for column in zip(*chosen))
+        # The chunk's columns, gathered by the chosen cells (idle slots: user 0,
+        # power index 0, fraction index 0, rate 0.0), with the audit of the chosen
+        # actions: whether an eavesdropper could have decoded.
+        chosen = np.array(chosen, dtype=np.intp)
+        sent = np.flatnonzero(chosen >= 0)  # empty, so nothing is read, when no power transmits
+        user, p_idx, f_idx = (np.zeros(count, dtype=np.intp) for _ in range(3))
+        slot_rate = np.zeros(count)
+        user[sent], p_cell = np.divmod(chosen[sent], n_transmitting)
+        p_idx[sent] = p_cell + 1
+        f_idx[sent] = best_f[sent, user[sent], p_cell]
+        slot_rate[sent] = cell_rates[sent, chosen[sent]]
         levels = np.array(levels).reshape(count + 1, k)
         codeword, eve, cost = _audit(legit, eves, regime, power, fraction, cost_table,
                                      user, p_idx, f_idx)
@@ -493,7 +509,7 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
                 getattr(trace, field.name)[done:done + count] = getattr(columns, field.name)
         done += count
         # Release this chunk's channels and cells before the next chunk makes its own.
-        del legit, eves, best_f, best_rate
+        del legit, eves, best_f, best_rate, cell_rates
 
     t_total = config.n_slots
     transmit_slots = int(served_slots.sum())

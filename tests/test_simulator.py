@@ -437,11 +437,15 @@ def _argmax_cells(rates):
 
 def _cell_choice(backlog, power_queue, power, rates):
     best_f, best_rate = _argmax_cells(rates)
-    user, p_idx, f_idx, rate = simulator._choose_action(
+    cell = simulator._choose_action(
         [float(u) for u in backlog], [power_queue * float(p) for p in power],
-        best_rate.ravel().tolist(), best_f.ravel().tolist())
-    assert rate == (rates[user, p_idx - 1, f_idx] if p_idx else 0.0)
-    return user, p_idx, f_idx
+        best_rate.ravel().tolist())
+    if cell < 0:
+        assert cell == -1
+        return 0, 0, 0
+    assert cell < best_rate.size
+    user, p_cell = divmod(cell, len(power))
+    return user, p_cell + 1, int(best_f[user, p_cell])
 
 
 def test_action_choice_serves_each_cell_at_its_best_rate():
@@ -586,22 +590,25 @@ def test_no_grid_or_chunk_statistic_crosses_the_recursion(config, monkeypatch):
     ScenarioConfig(csi="partial", eta=0.1, colluding=True, n_slots=50),
 ], ids=["instantaneous-noncolluding", "instantaneous-colluding", "partial-colluding"])
 def test_the_grids_hold_only_the_transmitting_powers(config, monkeypatch):
-    shapes = []
+    layouts = []
 
     def recorded(kernel):
         def call(*args):
             result = kernel(*args)
-            shapes.extend(grid.shape for grid in (result if kernel is capacity_grids else [result]))
+            layouts.extend((grid.shape, grid.flags.c_contiguous)
+                           for grid in (result if kernel is capacity_grids else [result]))
             return result
         return call
 
     monkeypatch.setattr(simulator, "capacity_grids", recorded(capacity_grids))
     monkeypatch.setattr(simulator, "secrecy_rate_grid", recorded(secrecy_rate_grid))
     run(config)
-    # no idle column and no fraction axis: one call per fraction, each one column wide
+    # no idle column and no fraction axis: one call per fraction, each one column wide;
+    # power-major, so the sweep's elementwise loops run over slots x users, not powers
     per_fraction = 3 if config.csi == "instantaneous" else 1
-    assert len(shapes) == per_fraction * len(config.ratio_grid)
-    assert {shape[-2:] for shape in shapes} == {(len(config.power_grid) - 1, 1)}
+    assert len(layouts) == per_fraction * len(config.ratio_grid)
+    n_powers = len(config.power_grid) - 1
+    assert set(layouts) == {((n_powers, config.n_slots, config.n_users, 1, 1), True)}
 
 
 _REGIMES = [("instantaneous", False, 0.0), ("instantaneous", True, 0.0),
