@@ -183,35 +183,30 @@ def rate_cost_table(ratio_grid, regime: SecrecyRegime, n_antennas: int, n_eves: 
 
     Partial CSI only.  One `leakage_threshold` x prices every interior
     fraction e at log2(1 + x e / (1 - e)); it is computed only when the grid
-    has one.  Fraction 0 carries no message, so zero cost; fraction 1 (no
-    artificial noise) makes eavesdroppers arbitrarily strong, hence the
-    infinite sentinel.  `secrecy_rate_grid` maps both to zero secrecy, so the
-    sentinel never reaches an objective.
+    has one, but the design is checked even where no fraction reads it.
+    Fraction 0 carries no message, so zero cost; fraction 1 (no artificial
+    noise) makes eavesdroppers arbitrarily strong, hence the infinite
+    sentinel.  `secrecy_rate_grid` maps both to zero secrecy, so the sentinel
+    never reaches an objective.
     """
     if regime.csi != PARTIAL:
         raise ConfigError("rate-cost tables only apply under partial CSI")
-    return np.array(_rate_costs(ratio_grid, regime.eta, n_antennas, n_eves, regime.colluding))
-
-
-def _rate_costs(ratio_grid, outage_level, n_antennas, n_eves, colluding) -> list[float]:
-    """`rate_cost_table`'s entries, for the table and the scalar costs alike; the
-    design is checked even where no fraction reads the threshold."""
-    SecrecyRegime(PARTIAL, colluding, outage_level)  # the eta rule
-    check_outage_design(n_antennas, n_eves, colluding)
+    check_outage_design(n_antennas, n_eves, regime.colluding)
     fractions = [float(e) for e in ratio_grid]
     for e in fractions:
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"data fraction must lie in [0, 1], got {e}")
     if any(0.0 < e < 1.0 for e in fractions):  # x is read only at interior fractions
-        x = leakage_threshold(outage_level, n_antennas, n_eves, colluding)
-    return [0.0 if e == 0.0 else math.inf if e == 1.0
-            else math.log2(1.0 + x * e / (1.0 - e)) for e in fractions]
+        x = leakage_threshold(regime.eta, n_antennas, n_eves, regime.colluding)
+    return np.array([0.0 if e == 0.0 else math.inf if e == 1.0
+                     else math.log2(1.0 + x * e / (1.0 - e)) for e in fractions])
 
 
 def rate_cost_noncolluding(data_fraction: float, outage_level: float,
                            n_antennas: int, n_eves: int) -> float:
     """`rate_cost_table` at one fraction against non-colluding eavesdroppers."""
-    return _rate_costs([data_fraction], outage_level, n_antennas, n_eves, colluding=False)[0]
+    regime = SecrecyRegime(PARTIAL, False, outage_level)
+    return float(rate_cost_table([data_fraction], regime, n_antennas, n_eves)[0])
 
 
 def rate_cost_noncolluding_bisect(data_fraction: float, outage_level: float,
@@ -235,7 +230,8 @@ def rate_cost_noncolluding_bisect(data_fraction: float, outage_level: float,
 def rate_cost_colluding(data_fraction: float, outage_level: float,
                         n_antennas: int, n_eves: int) -> float:
     """`rate_cost_table` at one fraction against colluding eavesdroppers."""
-    return _rate_costs([data_fraction], outage_level, n_antennas, n_eves, colluding=True)[0]
+    regime = SecrecyRegime(PARTIAL, True, outage_level)
+    return float(rate_cost_table([data_fraction], regime, n_antennas, n_eves)[0])
 
 
 # --- vectorized sufficient statistics and rate grids ------------------------

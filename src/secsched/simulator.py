@@ -18,14 +18,14 @@ three steps:
   idle power 0;
 * sequential: only the queue recursion in Python floats, which starts every
   slot idle and serves the first cell that scores more, at its best rate
-  (`_choose_action`).  It lists only the cells' rates and records one cell
-  index per slot;
-* batched again: the chunk's `SlotTrace` columns, gathered by those indices,
-  with the audit of the chosen actions (codeword rate, eavesdropper capacity,
-  rate cost, outage), which in every regime recomputes the served rows'
+  (`_choose_action`).  It lists only the cells' rates and records the chosen
+  cell index and the two queue levels (backlogs, power queue) per slot;
+* batched again: the chunk's `SlotTrace` columns, from the transmitting slots
+  found once in the chosen cells.  The audit (codeword rate, eavesdropper
+  capacity) reads only those slots' rows: it recomputes the served rows'
   channel statistics and evaluates the capacity kernels at each chosen action
   alone, so only the per-cell arrays and the channels cross the recursion.
-  The cap check, every metric and the trace are slot-order reductions of them.
+  The cap check, every metric and the trace are slot-order reductions.
 
 A chunk holds at most `_CHUNK` slots, and fewer when its slots would hold
 more than `_CHUNK_DOUBLES` doubles (`ScenarioConfig._slot_doubles`).
@@ -174,13 +174,9 @@ class ScenarioConfig:
             raise ConfigError("; ".join(problems))
         problems += _refusal(check_outage_design, self.n_antennas, self.n_eves, self.colluding)
         if self._slot_doubles() > _CHUNK_DOUBLES:
-            problems.append(
-                f"one slot needs {_bounded(self._slot_doubles())} doubles, "
-                "11*n_users*(len(power_grid) - 1) + 9*n_users*n_eves + 18*n_users + 64 "
-                "+ n_antennas*(2*(n_users + n_eves) + 5*max(n_users, n_eves, 2))"
-                f"{' + 2*(2*n_users + 1)*n_eves**2' if self.colluding else ''}, more than the "
-                f"{_CHUNK_DOUBLES} of a chunk"
-            )
+            problems.append(f"one slot needs {_bounded(self._slot_doubles())} doubles "
+                            f"(ScenarioConfig._slot_doubles), more than the {_CHUNK_DOUBLES} "
+                            "of a chunk")
         for name in ("n_users", "n_slots"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
@@ -224,9 +220,13 @@ class ScenarioConfig:
         return self
 
     def _slot_doubles(self) -> int:
-        """Doubles one slot holds in a chunk, each part at its own peak: its cells, (user,
-        eavesdropper) pairs and users, its channel rows with their sampling and audit copies
-        and, when colluding, its noise Grams with their `eigh` outputs."""
+        """Doubles one slot holds in a chunk, each part at its own peak, with k = n_users:
+        11 per transmitting (user, power) cell (best rate and fraction, the slot loop's list
+        of rates, one fraction's kernel temporaries), 9 per (user, eavesdropper) pair
+        (channel statistics), 18*k + 64 (arrivals, backlogs, the slot's action),
+        n_antennas*(2*(k + n_eves) + 5*max(k, n_eves, 2)) (channel rows with their sampling
+        and audit copies) and, when colluding, 2*(2*k + 1)*n_eves**2 (noise Grams with their
+        `eigh` outputs).  `validate` refuses a slot above `_CHUNK_DOUBLES`."""
         k, n_eves = self.n_users, self.n_eves
         grams = 2 * (2 * k + 1) * n_eves * n_eves if self.colluding else 0
         return (11 * k * (len(self.power_grid) - 1) + 9 * k * n_eves + 18 * k + 64
@@ -354,22 +354,26 @@ def _best_cells(legit, eves, regime: SecrecyRegime, power, fraction, cost_table)
     return np.moveaxis(best_f, 0, -1), np.ascontiguousarray(np.moveaxis(best_rate, 0, -1))
 
 
-def _audit(legit, eves, regime: SecrecyRegime, power, fraction, cost_table, user, p_idx, f_idx):
-    """Codeword rate, eavesdropper capacity and rate cost of each slot's chosen action.
+def _audit(legit, eves, colluding: bool, power, fraction):
+    """Codeword rate and eavesdropper capacity of the transmitting slots' chosen actions.
 
-    Both rates are the grid's kernels at the chosen (power, fraction) alone, on
-    the statistics of the served user's channel row, for the slots that
-    transmit: the idle action (power index 0) has rate log2(1 + 0) = 0.  The
-    cost is the eavesdropper capacity, or under partial CSI the pre-inverted
-    table entry of the chosen fraction.
+    Row s is one transmitting slot: `legit[s]` the served user's channel row,
+    `eves[s]` the slot's eavesdropper rows and (`power[s]`, `fraction[s]`) the
+    chosen pair.  Both rates are the grid's kernels at that pair alone, on the
+    statistics of the served row.  Idle slots are not audited: they send
+    nothing and leak nothing.
     """
-    sent = np.flatnonzero(p_idx > 0)
-    stats = channel_stats(legit[sent, user[sent]][:, None, :], eves[sent], regime.colluding)
-    chosen = power[p_idx[sent], None, None, None], fraction[f_idx[sent], None, None, None]
-    codeword, eve = np.zeros(len(user)), np.zeros(len(user))
-    codeword[sent] = legit_capacity_grid(stats.legit_gain, *chosen)[:, 0, 0, 0]
-    eve[sent] = eve_capacity(stats, *chosen)[:, 0, 0, 0]
-    return codeword, eve, eve if regime.csi == INSTANTANEOUS else cost_table[f_idx]
+    stats = channel_stats(legit[:, None, :], eves, colluding)
+    chosen = power[:, None, None, None], fraction[:, None, None, None]
+    return (legit_capacity_grid(stats.legit_gain, *chosen)[:, 0, 0, 0],
+            eve_capacity(stats, *chosen)[:, 0, 0, 0])
+
+
+def _scatter(count: int, sent, values, idle=0):
+    """A `count`-long column of `values`' dtype holding `values` at rows `sent`, else `idle`."""
+    column = np.full(count, idle, values.dtype)
+    column[sent] = values
+    return column
 
 
 def _choose_action(backlog, price, cell_rate):
@@ -434,10 +438,10 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
         # r / P rounds monotonically in r, so the best fraction gives the maximum
         gamma = float(np.max(best_rate / power[1:], initial=gamma))
 
-        # The sequential recursion, in Python floats.  It only records each
-        # slot's chosen cell and levels; checks and metrics read the columns below.
+        # The sequential recursion, in Python floats.  It only records each slot's
+        # chosen cell, backlogs and power queue; checks and metrics read the columns below.
         cell_rates = best_rate.reshape(count, -1)  # the (user, power) cells of each slot
-        chosen, admissions, power_queue_rows = [], [], []
+        chosen, power_queue_rows = [], []
         levels = list(backlog)  # k backlogs entering each slot, then k after the last
         for arrived, cell_rate in zip(arrivals.tolist(), cell_rates.tolist()):
             # Admission minimizes sum (U_i - V theta_i) R_i over 0 <= R_i <= A_i,
@@ -455,32 +459,29 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
                 power_queue += transmitting[p_cell]
             backlog = [b + a for b, a in zip(backlog, admitted)]
             chosen.append(cell)
-            admissions += admitted
             levels += backlog
             power_queue_rows.append(power_queue)
 
-        # The chunk's columns, gathered by the chosen cells (idle slots: user 0,
-        # power index 0, fraction index 0, rate 0.0), with the audit of the chosen
-        # actions: whether an eavesdropper could have decoded.
+        # The chunk's columns.  The transmitting slots `sent` get their served user,
+        # power, fraction and rate and the audit of that action, whether an
+        # eavesdropper could have decoded; idle slots keep user 0, the idle power,
+        # fraction index 0 and rates 0.0, so none of them is an outage.
         chosen = np.array(chosen, dtype=np.intp)
         sent = np.flatnonzero(chosen >= 0)  # empty, so nothing is read, when no power transmits
-        user, p_idx, f_idx = (np.zeros(count, dtype=np.intp) for _ in range(3))
-        slot_rate = np.zeros(count)
-        user[sent], p_cell = np.divmod(chosen[sent], n_transmitting)
-        p_idx[sent] = p_cell + 1
-        f_idx[sent] = best_f[sent, user[sent], p_cell]
-        slot_rate[sent] = cell_rates[sent, chosen[sent]]
+        served, p_cell = np.divmod(chosen[sent], n_transmitting)
+        p_sent, f_sent = power[1:][p_cell], best_f[sent, served, p_cell]
+        codeword, eve = _audit(legit[sent, served], eves[sent], regime.colluding,
+                               p_sent, fraction[f_sent])
+        f_idx, eve = _scatter(count, sent, f_sent), _scatter(count, sent, eve)
+        cost = eve if regime.csi == INSTANTANEOUS else cost_table[f_idx]
         levels = np.array(levels).reshape(count + 1, k)
-        codeword, eve, cost = _audit(legit, eves, regime, power, fraction, cost_table,
-                                     user, p_idx, f_idx)
-        transmit = slot_rate > 0.0
         columns = SlotTrace(
             slot=np.arange(done, done + count), arrival=arrivals,
-            admitted=np.array(admissions).reshape(count, k),
-            user=user, power=power[p_idx], data_fraction=fraction[f_idx],
-            codeword_rate=codeword,
-            rate_cost=cost, secrecy_rate=slot_rate, eavesdropper_capacity=eve,
-            outage=transmit & (eve > cost), queue=levels[1:],
+            admitted=np.where(levels[:-1] <= np.array(v_theta), arrivals, 0.0),
+            user=_scatter(count, sent, served), power=_scatter(count, sent, p_sent, power[0]),
+            data_fraction=fraction[f_idx], codeword_rate=_scatter(count, sent, codeword),
+            rate_cost=cost, secrecy_rate=_scatter(count, sent, cell_rates[sent, chosen[sent]]),
+            eavesdropper_capacity=eve, outage=eve > cost, queue=levels[1:],
             power_queue=np.array(power_queue_rows),
         )
 
@@ -493,17 +494,18 @@ def run(config: ScenarioConfig, collect_trace: bool = False) -> RunMetrics:
                 f"backlog of user {violator} exceeded its deterministic cap at slot "
                 f"{done + t}: {level!r} > {cap!r}",
                 slot=done + t, user=violator, backlog=level, cap=cap,
-                served_user=int(user[t]), power=float(columns.power[t]),
-                data_fraction=float(columns.data_fraction[t]), secrecy_rate=float(slot_rate[t]),
+                served_user=int(columns.user[t]), power=float(columns.power[t]),
+                data_fraction=float(columns.data_fraction[t]),
+                secrecy_rate=float(columns.secrecy_rate[t]),
             )
 
         # Add in slot order, as a running sum does; np.sum may add pairwise.
         steps = np.column_stack((levels[:-1], columns.admitted, columns.power))
         sums = np.add.accumulate(np.vstack([sums, steps]))[-1]
         peaks = np.maximum(peaks, [columns.queue.max(), columns.power_queue.max(),
-                                   slot_rate.max()])
+                                   columns.secrecy_rate.max()])
         outage_slots += int(np.count_nonzero(columns.outage))
-        served_slots += np.bincount(user[transmit], minlength=k)
+        served_slots += np.bincount(served, minlength=k)
         if trace is not None:
             for field in fields(SlotTrace):
                 getattr(trace, field.name)[done:done + count] = getattr(columns, field.name)

@@ -187,9 +187,7 @@ def test_a_slot_beyond_the_chunk_budget_is_refused(overrides, doubles):
     with pytest.raises(ConfigError) as refused:
         ScenarioConfig(**overrides).validate()
     assert str(refused.value) == (
-        f"one slot needs {doubles} doubles, 11*n_users*(len(power_grid) - 1) "
-        "+ 9*n_users*n_eves + 18*n_users + 64 "
-        "+ n_antennas*(2*(n_users + n_eves) + 5*max(n_users, n_eves, 2)), "
+        f"one slot needs {doubles} doubles (ScenarioConfig._slot_doubles), "
         "more than the 2097152 of a chunk")
     # a theta that was given is still checked against n_users
     with pytest.raises(ConfigError, match="theta needs one positive"):
@@ -400,6 +398,35 @@ def test_traced_run_replays_through_batched_kernels(csi, colluding, overrides):
     assert np.array_equal(trace.eavesdropper_capacity, eve)
     assert np.array_equal(trace.rate_cost, cost)
     assert np.array_equal(trace.outage, (rate > 0.0) & (eve > cost))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(colluding=True), dict(csi="partial", eta=0.3),
+    dict(csi="partial", eta=0.1, colluding=True), dict(p_av=5.0, v=1e4),
+    dict(arrival_mean=1.0), dict(power_grid=(0.0,)),
+], ids=["instantaneous-False", "instantaneous-True", "partial-False", "partial-True",
+        "low-p_av", "sparse-arrivals", "no-transmitting-power"])
+def test_a_slot_transmits_exactly_when_it_serves_a_positive_rate(overrides, monkeypatch):
+    # A chosen cell scores U*r - X*P > 0 with U, X*P >= 0, so its rate is
+    # positive, and an idle slot sends at power 0 with rate 0: the transmitting
+    # slots are one set, and only their rows reach the audit, chunk by chunk.
+    audited = []
+
+    def audit(legit, *args):
+        audited.append(len(legit))
+        return audit_rows(legit, *args)
+
+    audit_rows = simulator._audit
+    monkeypatch.setattr(simulator, "_audit", audit)
+    monkeypatch.setattr(simulator, "_CHUNK", 700)
+    config = _small(n_slots=2000, seed=3, **overrides)
+    m = run(config, collect_trace=True)
+    sent = m.trace.power > 0
+    assert np.array_equal(sent, m.trace.secrecy_rate > 0)
+    assert m.n_transmit_slots == np.count_nonzero(sent)
+    assert np.array_equal(m.slots_served,
+                          np.bincount(m.trace.user[sent], minlength=config.n_users))
+    assert len(audited) == 3 and sum(audited) == m.n_transmit_slots
 
 
 # --- the per-slot action choice -------------------------------------------------
